@@ -10,6 +10,7 @@ import numpy as np
 from .config import PipelineConfig
 from .embedding import (DeterministicProvider, HttpEmbeddingProvider,
                         cache_get_or_embed, embed_texts)
+from .errors import ValidationError
 from .generation import (ChatCompletionsClient, GenerationResult, PromptBundle,
                          build_prompt, generate, mock_llm, textualize)
 from .lifting import CellComplex, SpanningTreePolicy, lift_graph
@@ -63,9 +64,25 @@ def retrieve_for_question(complex: CellComplex, question: str,
 
 
 def load_or_init_weights(config: PipelineConfig) -> ReasoningWeights:
-    if config.weights_path:
-        return ReasoningWeights.load(config.weights_path)
-    return ReasoningWeights.initialize(config.reasoning_config())
+    """The weights file's, if the config names one, else a seeded init.
+
+    A file whose header disagrees with the config on the architecture
+    (the seed may differ) raises ``ValidationError``.
+    """
+    expected = config.reasoning_config()
+    if not config.weights_path:
+        return ReasoningWeights.initialize(expected)
+    weights = ReasoningWeights.load(config.weights_path)
+    got = weights.config
+    mismatched = [
+        f"{key}={getattr(got, key)} (config: {getattr(expected, key)})"
+        for key in ("layers", "state_dim", "projection_dim", "activation",
+                    "aggregation")
+        if getattr(got, key) != getattr(expected, key)]
+    if mismatched:
+        raise ValidationError(f"{config.weights_path}: weight file has "
+                              + ", ".join(mismatched))
+    return weights
 
 
 @dataclass(frozen=True)

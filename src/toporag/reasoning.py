@@ -8,13 +8,21 @@ updates are affine maps over concatenated inputs followed by the
 configured activation; aggregation over a neighbor set is sum (default)
 or mean, with the empty set contributing a zero message.
 
-States are computed in float64; weights are stored as float32 so the
-weight file round-trips bit-exactly.
+Weights are stored as float32, in one contiguous buffer with every
+parameter a view into it, so the weight file round-trips bit-exactly.
+States and affine maps are computed in float64: each weight matrix is
+cast a block of rows at a time inside the matmul, so no float64 copy of
+a whole matrix is ever held. The seeded initialisation fills the buffer
+from several threads, each advancing its own PCG64 stream to its slice;
+the result is bit-identical to one sequential ``uniform`` draw per
+parameter, whatever the thread count.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +32,10 @@ from .retrieval import Subcomplex
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 AGGREGATIONS = ("sum", "mean")
+
+_INIT_CHUNK = 1 << 17  # draws per chunk: 1 MB of float64 scratch per thread
+_MAX_INIT_WORKERS = 4
+_CAST_ROWS = 256  # weight rows cast to float64 at a time: <= 8 MB at d = 1024
 
 
 @dataclass(frozen=True)
@@ -81,6 +93,41 @@ def _layer_param_specs(config: ReasoningConfig) -> list[tuple[str, tuple[int, in
     return specs
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_uniform(out: np.ndarray, seed: int, bound: float,
+                  workers: int) -> None:
+    """Fill the flat float32 ``out`` with the first ``out.size`` draws of
+    ``Generator(PCG64(seed)).uniform(-bound, bound)``.
+
+    Each worker owns one contiguous slice: its stream is advanced to the
+    slice's first draw, and ``u * (2 * bound) - bound`` is the same
+    arithmetic ``uniform`` does, so the values do not depend on the
+    number of workers.
+    """
+    edges = [out.size * i // workers for i in range(workers + 1)]
+    span = 2.0 * bound
+
+    def fill(start: int, stop: int) -> None:
+        bitgen = np.random.PCG64(seed)
+        bitgen.advance(start)
+        rng = np.random.Generator(bitgen)
+        scratch = np.empty(min(_INIT_CHUNK, stop - start))
+        for lo in range(start, stop, _INIT_CHUNK):
+            chunk = scratch[:min(_INIT_CHUNK, stop - lo)]
+            rng.random(out=chunk)
+            chunk *= span
+            chunk -= bound
+            out[lo:lo + len(chunk)] = chunk
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill, edges[:-1], edges[1:]))
+
+
 @dataclass(frozen=True)
 class ReasoningWeights:
     """All affine-map parameters, keyed by name; float32 storage."""
@@ -93,13 +140,21 @@ class ReasoningWeights:
 
     @classmethod
     def initialize(cls, config: ReasoningConfig) -> "ReasoningWeights":
-        """Seeded uniform init in [-1/sqrt(d_s), 1/sqrt(d_s)]."""
-        rng = np.random.Generator(np.random.PCG64(config.seed))
-        bound = 1.0 / np.sqrt(config.state_dim)
-        params = {
-            name: rng.uniform(-bound, bound, size=shape).astype(np.float32)
-            for name, shape in _layer_param_specs(config)
-        }
+        """Seeded uniform init in [-1/sqrt(d_s), 1/sqrt(d_s)].
+
+        Equal, bit for bit, to drawing every parameter in spec order with
+        ``Generator(PCG64(seed)).uniform(-bound, bound, shape)`` and
+        casting it to float32; filled by ``min(4, usable CPUs)`` threads.
+        """
+        specs = _layer_param_specs(config)
+        sizes = [int(np.prod(shape)) for _, shape in specs]
+        buffer = np.empty(sum(sizes), dtype=np.float32)
+        _fill_uniform(buffer, config.seed, 1.0 / np.sqrt(config.state_dim),
+                      min(_MAX_INIT_WORKERS, _usable_cpus()))
+        params, offset = {}, 0
+        for (name, shape), size in zip(specs, sizes):
+            params[name] = buffer[offset:offset + size].reshape(shape)
+            offset += size
         return cls(config=config, params=params)
 
     @classmethod
@@ -248,6 +303,17 @@ class _Neighborhoods:
         )
 
 
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w.T + b`` in float64, casting float32 ``w`` a row block at a time."""
+    out = np.empty(x.shape[:-1] + (w.shape[0],))
+    for lo in range(0, w.shape[0], _CAST_ROWS):
+        hi = lo + _CAST_ROWS
+        # unnamed, the cast block is freed before the next one is made
+        out[..., lo:hi] = x @ w[lo:hi].astype(np.float64).T
+    out += b
+    return out
+
+
 def _aggregate_messages(h: np.ndarray, dst_rows: list[int],
                         inputs: np.ndarray, w: np.ndarray, b: np.ndarray,
                         config: ReasoningConfig) -> np.ndarray:
@@ -256,8 +322,7 @@ def _aggregate_messages(h: np.ndarray, dst_rows: list[int],
     out = np.zeros((n, d))
     if not dst_rows:
         return out
-    messages = _activate(inputs @ w.T.astype(np.float64) + b.astype(np.float64),
-                         config.activation)
+    messages = _activate(_linear(inputs, w, b), config.activation)
     np.add.at(out, np.asarray(dst_rows), messages)
     if config.aggregation == "mean":
         counts = np.zeros(n)
@@ -297,8 +362,8 @@ def stage1_pass(states: CellStates, sub: Subcomplex,
             h, hoods, weights, f"layer{layer}", config, skeleton_only=True)
         concat = np.concatenate([h, m_face, m_coface], axis=1)
         updated = _activate(
-            concat @ weights[f"layer{layer}.update.w"].T.astype(np.float64)
-            + weights[f"layer{layer}.update.b"].astype(np.float64),
+            _linear(concat, weights[f"layer{layer}.update.w"],
+                    weights[f"layer{layer}.update.b"]),
             config.activation)
         h = np.where(low[:, None], updated, h)
     return CellStates(cell_ids=states.cell_ids, states=h,
@@ -327,8 +392,7 @@ def stage2_pass(states: CellStates, sub: Subcomplex,
                                   weights["final.upper.b"], config)
     concat = np.concatenate([h, m_face, m_coface, m_upper], axis=1)
     updated = _activate(
-        concat @ weights["final.update.w"].T.astype(np.float64)
-        + weights["final.update.b"].astype(np.float64),
+        _linear(concat, weights["final.update.w"], weights["final.update.b"]),
         config.activation)
     return CellStates(cell_ids=states.cell_ids, states=updated,
                       layer=states.layer + 1)
@@ -351,10 +415,9 @@ def pool(states: CellStates, sub: Subcomplex) -> np.ndarray:
 
 def project(h: np.ndarray, weights: ReasoningWeights) -> np.ndarray:
     """Affine map of the pooled embedding to the generator width."""
-    w = weights["proj.w"].astype(np.float64)
-    b = weights["proj.b"].astype(np.float64)
+    w = weights["proj.w"]
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (w.shape[1],):
         raise DimensionMismatch(
             f"pooled embedding has shape {h.shape}, projection expects ({w.shape[1]},)")
-    return w @ h + b
+    return _linear(h, w, weights["proj.b"])

@@ -139,6 +139,9 @@ class _DrainingServer(ThreadingHTTPServer):
     # shutdown drains in-flight requests
     daemon_threads = False
     block_on_close = True
+    # listen backlog: socketserver's default of 5 drops or resets a burst
+    # of simultaneous connects before the accept loop gets to them
+    request_queue_size = 128
 
 
 def make_server(config: PipelineConfig, graph_paths: dict[str, str],

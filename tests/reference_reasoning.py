@@ -2,9 +2,23 @@
 
 Kept independent of the package implementation: plain dict states and
 explicit Python loops straight over the complex's incidence fields.
+Also the sequential weight initializer the chunked, threaded one must
+reproduce bit for bit.
 """
 
 import numpy as np
+
+from toporag.reasoning import _layer_param_specs
+
+
+def sequential_initialize(config):
+    """{name: float32 array}: one ``uniform`` draw per parameter, in order."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    bound = 1.0 / np.sqrt(config.state_dim)
+    return {
+        name: rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        for name, shape in _layer_param_specs(config)
+    }
 
 
 def _act(x, kind):

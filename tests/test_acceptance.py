@@ -6,6 +6,7 @@ failure otherwise) and asserts its runtime budget.
 
 import dataclasses
 import json
+import os
 import random
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import requests
 
+import toporag
 from toporag.config import PipelineConfig
 from toporag.embedding import DeterministicProvider, cosine
 from toporag.evaluation import evaluate, sweep_k2
@@ -338,13 +340,18 @@ def test_c08_determinism_and_round_trips(tmp_path):
     graph_path = tmp_path / "scene.json"
     from toporag.graph_io import load_graph
     save_graph(load_graph(FIXTURES / "scene_loop"), graph_path)
+    # the subprocess runs from tests/, so a relative PYTHONPATH would not
+    # resolve: put this package's absolute source root first
+    src = str(Path(toporag.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     outs = []
     for run in ("one", "two"):
         out = tmp_path / run
         out.mkdir()
         subprocess.run(
             [sys.executable, "-c", _TWO_RUN_SCRIPT, str(out), str(graph_path)],
-            check=True, cwd=str(Path(__file__).parent))
+            check=True, cwd=str(Path(__file__).parent), env=env)
         outs.append(out)
     for name in ("graph.json", "emb.cache", "weights.bin", "prompt.txt"):
         a = (outs[0] / name).read_bytes()

@@ -5,6 +5,7 @@ import pytest
 from toporag.cli import main
 from toporag.config import PipelineConfig, save_config
 from toporag.graph_io import save_graph
+from toporag.reasoning import ReasoningConfig, ReasoningWeights
 
 from helpers import FIXTURES, make_graph, triangle
 
@@ -167,3 +168,37 @@ def test_eval_sweep_writes_report(tmp_path, capsys, small_cfg):
 
 def test_missing_fixture_dir_is_io_error(capsys, small_cfg, tmp_path):
     assert main(["eval", str(tmp_path / "nope"), "--config", small_cfg]) == 2
+
+
+@pytest.mark.parametrize("field,value,reported", [
+    ("layers", 3, "layers"), ("state_dim", 8, "state_dim"),
+    ("proj_dim", 9, "projection_dim"), ("activation", "tanh", "activation"),
+    ("aggregation", "mean", "aggregation"),
+])
+def test_answer_rejects_mismatched_weight_file(tmp_path, capsys, triangle_path,
+                                               field, value, reported):
+    file_cfg = dict(layers=2, state_dim=16, proj_dim=16, seed=5)
+    file_cfg[field] = value
+    weights_path = tmp_path / "w.bin"
+    ReasoningWeights.initialize(ReasoningConfig(**file_cfg)).save(weights_path)
+    cfg_path = tmp_path / "w.cfg"
+    save_config(PipelineConfig(embed_dim=16, state_dim=16, proj_dim=16,
+                               layers=2, weights_path=str(weights_path)),
+                cfg_path)
+    assert main(["answer", triangle_path, "--question", "q",
+                 "--config", str(cfg_path), "--mock-llm", "echo"]) == 2
+    assert f"{reported}={value}" in capsys.readouterr().err
+
+
+def test_answer_accepts_weight_file_with_other_seed(tmp_path, capsys,
+                                                    triangle_path):
+    weights_path = tmp_path / "w.bin"
+    ReasoningWeights.initialize(ReasoningConfig(
+        layers=2, state_dim=16, proj_dim=16, seed=5)).save(weights_path)
+    cfg_path = tmp_path / "w.cfg"
+    save_config(PipelineConfig(embed_dim=16, state_dim=16, proj_dim=16,
+                               layers=2, weights_path=str(weights_path)),
+                cfg_path)
+    assert main(["answer", triangle_path, "--question", "which node?",
+                 "--config", str(cfg_path), "--mock-llm", "echo"]) == 0
+    assert capsys.readouterr().out.strip() == "which node?"

@@ -1,18 +1,20 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from toporag import reasoning
 from toporag.errors import DimensionMismatch, EmptySubcomplex, ValidationError
 from toporag.lifting import CellComplex
 from toporag.embedding import EmbeddingTable
 from toporag.reasoning import (CellStates, ReasoningConfig, ReasoningWeights,
-                               forward, init_states, pool, project,
+                               _linear, forward, init_states, pool, project,
                                stage1_pass, stage2_pass)
 from toporag.retrieval import Subcomplex
 
-from helpers import lift, make_graph, random_connected_graph, triangle
-from reference_reasoning import naive_forward
+from helpers import k4, lift, make_graph, random_connected_graph, triangle
+from reference_reasoning import naive_forward, sequential_initialize
 
 D = 16
 
@@ -326,3 +328,76 @@ def test_forward_deterministic():
     s1 = forward(sub, weights, cfg)
     s2 = forward(sub, weights, cfg)
     assert np.array_equal(s1.states, s2.states)
+
+
+# --- chunked threaded init and block-cast affine maps ---
+
+@pytest.mark.parametrize("cfg", [
+    ReasoningConfig(layers=2, state_dim=D, seed=3),
+    ReasoningConfig(layers=3, state_dim=7, proj_dim=5, seed=11),
+    # 343,200 draws: two full chunks and a ragged third
+    ReasoningConfig(layers=1, state_dim=130, proj_dim=300, seed=5,
+                    activation="tanh", aggregation="mean"),
+])
+@pytest.mark.parametrize("chunk", [reasoning._INIT_CHUNK, 997])
+def test_initialize_matches_sequential_reference(cfg, chunk, monkeypatch):
+    monkeypatch.setattr(reasoning, "_INIT_CHUNK", chunk)
+    expected = sequential_initialize(cfg)
+    weights = ReasoningWeights.initialize(cfg)
+    assert list(weights.params) == list(expected)
+    for name, arr in expected.items():
+        got = weights.params[name]
+        assert got.dtype == np.float32 and got.shape == arr.shape
+        assert np.array_equal(got, arr), name
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_initialize_independent_of_worker_count(workers, monkeypatch):
+    monkeypatch.setattr(reasoning, "_INIT_CHUNK", 1009)
+    cfg = ReasoningConfig(layers=2, state_dim=33, proj_dim=10, seed=9)
+    expected = np.concatenate(
+        [arr.ravel() for arr in sequential_initialize(cfg).values()])
+    got = np.empty_like(expected)
+    reasoning._fill_uniform(got, cfg.seed, 1.0 / np.sqrt(cfg.state_dim),
+                            workers)
+    assert np.array_equal(got, expected)
+
+
+def test_initialize_params_share_one_buffer():
+    weights = ReasoningWeights.initialize(config())
+    base = weights["layer0.face.w"].base
+    assert all(arr.base is base for arr in weights.params.values())
+    assert base.size == sum(arr.size for arr in weights.params.values())
+
+
+def test_linear_matches_whole_matrix_cast():
+    rng = np.random.default_rng(4)
+    cfg = ReasoningConfig(layers=1, state_dim=D, proj_dim=300, seed=2)
+    weights = ReasoningWeights.initialize(cfg)
+    w, b = weights["proj.w"], weights["proj.b"]  # 300 rows: a ragged block
+    h = rng.standard_normal(D)
+    assert np.array_equal(_linear(h, w, b),
+                          w.astype(np.float64) @ h + b.astype(np.float64))
+    x = rng.standard_normal((5, D))
+    expected = x @ w.T.astype(np.float64) + b.astype(np.float64)
+    got = _linear(x, w, b)
+    assert got.shape == (5, 300)
+    # BLAS may sum the ragged last block in another order: a few ulps
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_forward_holds_no_float64_weight_copy():
+    # d = 1024: final.update.w cast whole is 32 MB of float64; cast 256
+    # rows at a time it is 8 MB
+    d = 1024
+    cfg = ReasoningConfig(layers=1, state_dim=d, proj_dim=d, seed=1)
+    weights = ReasoningWeights.initialize(cfg)
+    sub = full_subcomplex(lift(k4(), dim=d))
+    tracemalloc.start()
+    try:
+        states = forward(sub, weights, cfg)
+        project(pool(states, sub), weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"forward peaked at {peak / 2**20:.1f} MB"

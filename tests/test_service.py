@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,7 +7,9 @@ import pytest
 import requests
 
 from toporag.config import PipelineConfig
+from toporag.errors import ValidationError
 from toporag.graph_io import save_graph
+from toporag.reasoning import ReasoningConfig, ReasoningWeights
 from toporag.service import load_manifest, make_server
 
 from helpers import FIXTURES, triangle
@@ -113,17 +116,22 @@ def test_provider_down_503(tmp_path, monkeypatch):
 class _SlowEchoClient:
     def __init__(self, delay):
         self.delay = delay
+        self.started = threading.Event()  # a request reached the handler
+        self.finished = threading.Event()  # and its generation returned
 
     def complete(self, bundle):
         import time
+        self.started.set()
         time.sleep(self.delay)
+        self.finished.set()
         return bundle.question, {"mock": "slow-echo"}
 
 
 def test_shutdown_drains_in_flight_requests():
     config = PipelineConfig(embed_dim=16, state_dim=16, proj_dim=16, layers=2)
+    client = _SlowEchoClient(delay=0.8)
     server = make_server(config, {"scene": str(FIXTURES / "scene_loop")},
-                         port=0, llm_client=_SlowEchoClient(delay=0.8))
+                         port=0, llm_client=client)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address
@@ -139,12 +147,15 @@ def test_shutdown_drains_in_flight_requests():
 
     caller = threading.Thread(target=slow_call)
     caller.start()
-    import time
-    time.sleep(0.25)  # let the request reach the handler
+    assert client.started.wait(timeout=10)
     server.shutdown()
     server.server_close()  # must block until the in-flight request finished
-    assert done.is_set()
+    assert client.finished.is_set()
+    # the reply is on the wire once server_close returns; the caller may
+    # still be reading it
     caller.join(timeout=5)
+    assert not caller.is_alive()
+    assert done.is_set()
     assert result["status"] == 200
 
 
@@ -162,3 +173,43 @@ def test_concurrent_retrieves_match_serial(service):
     with ThreadPoolExecutor(max_workers=32) as pool:
         parallel = list(pool.map(fetch, questions))
     assert parallel == serial
+
+
+def test_burst_of_connects_is_queued_not_refused():
+    # every connect completes while no request is being accepted yet; with
+    # a listen backlog of 5 the kernel drops the SYNs beyond it
+    config = PipelineConfig(embed_dim=16, state_dim=16, proj_dim=16, layers=2)
+    server = make_server(config, {"scene": str(FIXTURES / "scene_loop")},
+                         port=0)
+    address = server.server_address
+    socks, thread = [], None
+    try:
+        for _ in range(32):
+            socks.append(socket.create_connection(address, timeout=0.5))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        for sock in socks:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                         b"Connection: close\r\n\r\n")
+        for sock in socks:
+            sock.settimeout(10)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+            assert reply.startswith(b"HTTP/1.0 200") and reply.endswith(b"ok")
+    finally:
+        for sock in socks:
+            sock.close()
+        if thread is not None:  # shutdown() waits for serve_forever to end
+            server.shutdown()
+        server.server_close()
+
+
+def test_mismatched_weight_file_fails_at_start(tmp_path):
+    weights_path = tmp_path / "w.bin"
+    ReasoningWeights.initialize(
+        ReasoningConfig(layers=2, state_dim=16, proj_dim=16)).save(weights_path)
+    config = PipelineConfig(embed_dim=16, state_dim=16, proj_dim=16, layers=3,
+                            weights_path=str(weights_path))
+    with pytest.raises(ValidationError, match="layers=2"):
+        make_server(config, {"scene": str(FIXTURES / "scene_loop")}, port=0)
