@@ -12,7 +12,7 @@ from pathlib import Path
 from toporag import (PipelineConfig, answer_question, lift_from_config,
                      load_qa_fixture, mock_llm, subcomplex_stats)
 from toporag.evaluation import evaluate, format_report
-from toporag.pipeline import build_embedding_provider
+from toporag.pipeline import build_embedding_provider, load_or_init_weights
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -27,8 +27,10 @@ print(f"loaded {len(examples)} QA examples "
 example = examples[0]
 client = mock_llm("lookup", answers={example.question: list(example.answers)})
 complex = lift_from_config(example.graph, config, provider=provider)
+# passing weights runs the reasoning pass, for its soft-prompt artifact
 outcome = answer_question(complex, example.question, config, client,
-                          provider=provider)
+                          provider=provider,
+                          weights=load_or_init_weights(config))
 stats = subcomplex_stats(outcome.subcomplex)
 print(f"\nquestion: {example.question}")
 print(f"retrieved subcomplex: {stats['n0']} nodes, {stats['n1']} edges, "

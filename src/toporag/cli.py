@@ -19,8 +19,8 @@ from .generation import MockLlmClient
 from .graph_io import load_graph, load_qa_fixture
 from .lifting import betti1, verify_cycle_basis
 from .pipeline import (answer_question, build_embedding_provider,
-                       build_llm_client, lift_from_config,
-                       retrieve_for_question)
+                       build_llm_client, check_weights, lift_from_config,
+                       load_or_init_weights, retrieve_for_question)
 from .retrieval import subcomplex_to_dict
 from .service import load_manifest, serve
 
@@ -125,6 +125,7 @@ def cmd_retrieve(args) -> int:
 
 def cmd_answer(args) -> int:
     config = _load_pipeline_config(args)
+    check_weights(config)
     graph = load_graph(args.graph, format=args.format)
     provider = build_embedding_provider(config)
     complex = lift_from_config(graph, config, provider=provider)
@@ -132,8 +133,10 @@ def cmd_answer(args) -> int:
     if config.llm_provider == "mock" and args.gold:
         answers = {args.question: list(args.gold)}
     client = build_llm_client(config, mock_answers=answers)
+    # only the soft-prompt artifact needs the reasoning pass
+    weights = load_or_init_weights(config) if args.artifacts_dir else None
     outcome = answer_question(complex, args.question, config, client,
-                              provider=provider)
+                              provider=provider, weights=weights)
     print(outcome.answer)
     if args.artifacts_dir:
         art = Path(args.artifacts_dir)

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from .config import PipelineConfig
 from .graph_io import QaExample
 from .pipeline import (answer_question, build_embedding_provider,
-                       build_llm_client, lift_from_config,
-                       load_or_init_weights)
+                       build_llm_client, check_weights, lift_from_config)
 from .retrieval import subcomplex_stats
 
 
@@ -83,13 +82,14 @@ def evaluate(examples: list[QaExample], config: PipelineConfig,
     The metric follows the dataset tag of the first example: Hit for
     webqsp, Accuracy otherwise. With no explicit client, a mock client
     is built from the config, fed the fixture's gold answers as its
-    lookup table.
+    lookup table. Scoring reads only the answers, so the reasoning pass
+    does not run; a configured weights file is still checked.
     """
     start = time.perf_counter()
+    check_weights(config)
     provider = provider or build_embedding_provider(config)
     if llm_client is None:
         llm_client = build_llm_client(config, mock_answers=mock_answer_table(examples))
-    weights = load_or_init_weights(config)
     metric = metric_for_dataset(examples[0].dataset) if examples else "accuracy"
     match = hit_match if metric == "hit" else accuracy_match
 
@@ -97,7 +97,7 @@ def evaluate(examples: list[QaExample], config: PipelineConfig,
     for ex in examples:
         complex = lift_from_config(ex.graph, config, provider=provider)
         outcome = answer_question(complex, ex.question, config, llm_client,
-                                  provider=provider, weights=weights)
+                                  provider=provider)
         stats = subcomplex_stats(outcome.subcomplex)
         records.append(EvalRecord(
             idx=ex.idx,

@@ -41,12 +41,6 @@ class SpanningTreePolicy:
         if self.kind not in ("dfs", "bfs", "random"):
             raise ValueError(f"unknown spanning tree policy {self.kind!r}")
 
-    @classmethod
-    def parse(cls, spec: str) -> "SpanningTreePolicy":
-        """Parse ``"dfs"``, ``"bfs"``, ``"random"`` or ``"random:<seed>"``."""
-        kind, _, seed = spec.partition(":")
-        return cls(kind=kind, seed=int(seed) if seed else 0)
-
     def __str__(self) -> str:
         return f"{self.kind}:{self.seed}" if self.kind == "random" else self.kind
 

@@ -1,4 +1,4 @@
-"""End-to-end composition: lift, retrieve, reason, textualize, generate."""
+"""End-to-end composition: lift, retrieve, textualize, generate; reason on request."""
 
 from __future__ import annotations
 
@@ -10,12 +10,12 @@ import numpy as np
 from .config import PipelineConfig
 from .embedding import (DeterministicProvider, HttpEmbeddingProvider,
                         cache_get_or_embed, embed_texts)
-from .errors import ValidationError
 from .generation import (ChatCompletionsClient, GenerationResult, PromptBundle,
                          build_prompt, generate, mock_llm, textualize)
 from .lifting import CellComplex, SpanningTreePolicy, lift_graph
 from .graph_io import TextualGraph
-from .reasoning import ReasoningWeights, forward, pool, project
+from .reasoning import (ReasoningWeights, check_weight_file, forward, pool,
+                        project)
 from .retrieval import Subcomplex, retrieve_subcomplex, subcomplex_to_dict
 
 
@@ -63,26 +63,27 @@ def retrieve_for_question(complex: CellComplex, question: str,
     )
 
 
+def check_weights(config: PipelineConfig) -> None:
+    """Check the configured weights file's header against the config.
+
+    Reads only the header line, so it is cheap enough to run at start
+    where the weights themselves may never be needed. A file that
+    disagrees on the architecture (the seed may differ) raises
+    ``ValidationError``; with no file configured this does nothing.
+    """
+    if config.weights_path:
+        check_weight_file(config.weights_path, config.reasoning_config())
+
+
 def load_or_init_weights(config: PipelineConfig) -> ReasoningWeights:
     """The weights file's, if the config names one, else a seeded init.
 
-    A file whose header disagrees with the config on the architecture
-    (the seed may differ) raises ``ValidationError``.
+    The file is checked by :func:`check_weights` first.
     """
-    expected = config.reasoning_config()
     if not config.weights_path:
-        return ReasoningWeights.initialize(expected)
-    weights = ReasoningWeights.load(config.weights_path)
-    got = weights.config
-    mismatched = [
-        f"{key}={getattr(got, key)} (config: {getattr(expected, key)})"
-        for key in ("layers", "state_dim", "projection_dim", "activation",
-                    "aggregation")
-        if getattr(got, key) != getattr(expected, key)]
-    if mismatched:
-        raise ValidationError(f"{config.weights_path}: weight file has "
-                              + ", ".join(mismatched))
-    return weights
+        return ReasoningWeights.initialize(config.reasoning_config())
+    check_weights(config)
+    return ReasoningWeights.load(config.weights_path)
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,8 @@ class AnswerOutcome:
     answer: str
     subcomplex: Subcomplex
     bundle: PromptBundle
-    pooled: np.ndarray
-    projected: np.ndarray
+    pooled: np.ndarray | None  # None when answered without weights
+    projected: np.ndarray | None
     generation: GenerationResult
     latency_ms: float
 
@@ -108,19 +109,23 @@ class AnswerOutcome:
 def answer_question(complex: CellComplex, question: str,
                     config: PipelineConfig, llm_client, provider=None,
                     weights: ReasoningWeights | None = None) -> AnswerOutcome:
-    """Full pipeline over a pre-lifted complex.
+    """Full pipeline over a pre-lifted complex: retrieve, textualize,
+    prompt, generate.
 
-    The reasoning forward pass runs alongside the text path; its
-    projected output is carried as a diagnostic artifact, not injected
-    into the generator.
+    The generator reads only the prompt, so the reasoning pass runs only
+    when ``weights`` are given: then ``pooled`` and ``projected`` carry
+    the forward pass's pooled states and their projection to the
+    generator width, a diagnostic artifact that is not injected into the
+    generator. Without weights both are ``None``; the answer, subcomplex
+    and prompt are the same either way.
     """
     start = time.perf_counter()
     sub = retrieve_for_question(complex, question, config, provider=provider)
-    weights = weights or load_or_init_weights(config)
-    reasoning_cfg = config.reasoning_config()
-    states = forward(sub, weights, reasoning_cfg)
-    pooled = pool(states, sub)
-    projected = project(pooled, weights)
+    pooled = projected = None
+    if weights is not None:
+        states = forward(sub, weights, config.reasoning_config())
+        pooled = pool(states, sub)
+        projected = project(pooled, weights)
     bundle = build_prompt(textualize(sub), question, preamble=config.preamble,
                           max_input_tokens=config.max_input_tokens)
     result = generate(bundle, llm_client)

@@ -128,6 +128,41 @@ def _fill_uniform(out: np.ndarray, seed: int, bound: float,
         list(pool.map(fill, edges[:-1], edges[1:]))
 
 
+def _read_header(fh) -> tuple[dict, ReasoningConfig]:
+    """The JSON header line of an open weight file, and its config."""
+    try:
+        header = json.loads(fh.readline().decode("utf-8"))
+        config = ReasoningConfig(
+            layers=header["layers"],
+            state_dim=header["state_dim"],
+            activation=header["activation"],
+            aggregation=header["aggregation"],
+            seed=header["seed"],
+            proj_dim=header["proj_dim"],
+        )
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ValidationError(f"bad weight file header: {exc}") from exc
+    return header, config
+
+
+def check_weight_file(path, expected: ReasoningConfig) -> None:
+    """Raise ``ValidationError`` if the weight file's header disagrees with
+    ``expected`` on the architecture; the seed may differ.
+
+    Reads only the header line, not the weights.
+    """
+    with open(path, "rb") as fh:
+        _, got = _read_header(fh)
+    mismatched = [
+        f"{key}={getattr(got, key)} (config: {getattr(expected, key)})"
+        for key in ("layers", "state_dim", "projection_dim", "activation",
+                    "aggregation")
+        if getattr(got, key) != getattr(expected, key)]
+    if mismatched:
+        raise ValidationError(f"{path}: weight file has "
+                              + ", ".join(mismatched))
+
+
 @dataclass(frozen=True)
 class ReasoningWeights:
     """All affine-map parameters, keyed by name; float32 storage."""
@@ -197,18 +232,7 @@ class ReasoningWeights:
     @classmethod
     def load(cls, path) -> "ReasoningWeights":
         with open(path, "rb") as fh:
-            try:
-                header = json.loads(fh.readline().decode("utf-8"))
-                config = ReasoningConfig(
-                    layers=header["layers"],
-                    state_dim=header["state_dim"],
-                    activation=header["activation"],
-                    aggregation=header["aggregation"],
-                    seed=header["seed"],
-                    proj_dim=header["proj_dim"],
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValidationError(f"bad weight file header: {exc}") from exc
+            header, config = _read_header(fh)
             params = {}
             for spec in header["arrays"]:
                 shape = tuple(spec["shape"])

@@ -3,9 +3,12 @@ import json
 import pytest
 
 from toporag.cli import main
-from toporag.config import PipelineConfig, save_config
-from toporag.graph_io import save_graph
-from toporag.reasoning import ReasoningConfig, ReasoningWeights
+from toporag.config import PipelineConfig, load_config, save_config
+from toporag.graph_io import load_graph, save_graph
+from toporag.pipeline import (build_embedding_provider, lift_from_config,
+                              retrieve_for_question)
+from toporag.reasoning import (ReasoningConfig, ReasoningWeights, forward,
+                               pool, project)
 
 from helpers import FIXTURES, make_graph, triangle
 
@@ -124,6 +127,39 @@ def test_answer_writes_artifacts(tmp_path, capsys, small_cfg, triangle_path):
     soft = json.loads((art / "soft_prompt.json").read_text())
     assert len(soft["projected"]) == 16
     assert (art / "subcomplex.json").exists()
+
+
+def test_answer_artifacts_equal_explicit_reasoning_pass(tmp_path, capsys,
+                                                       small_cfg,
+                                                       triangle_path):
+    art = tmp_path / "artifacts"
+    assert main(["answer", triangle_path, "--question", "which node?",
+                 "--config", small_cfg, "--mock-llm", "echo",
+                 "--artifacts-dir", str(art)]) == 0
+    soft = json.loads((art / "soft_prompt.json").read_text())
+    config = load_config(small_cfg)
+    provider = build_embedding_provider(config)
+    complex = lift_from_config(load_graph(triangle_path), config,
+                               provider=provider)
+    sub = retrieve_for_question(complex, "which node?", config,
+                                provider=provider)
+    weights = ReasoningWeights.initialize(config.reasoning_config())
+    projected = project(pool(forward(sub, weights, config.reasoning_config()),
+                             sub), weights)
+    assert soft["projected"] == [float(x) for x in projected]
+
+
+def test_answer_without_artifacts_runs_no_reasoning_pass(capsys, monkeypatch,
+                                                         small_cfg,
+                                                         triangle_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reasoning pass ran")
+
+    monkeypatch.setattr("toporag.pipeline.forward", refuse)
+    monkeypatch.setattr(ReasoningWeights, "initialize", refuse)
+    assert main(["answer", triangle_path, "--question", "which node?",
+                 "--config", small_cfg, "--mock-llm", "echo"]) == 0
+    assert capsys.readouterr().out.strip() == "which node?"
 
 
 def test_answer_provider_down_exit_code(tmp_path, capsys, triangle_path,

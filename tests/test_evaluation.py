@@ -6,6 +6,7 @@ from toporag.evaluation import (accuracy_match, evaluate, hit_match,
                                 sweep_k2)
 from toporag.generation import mock_llm
 from toporag.graph_io import load_qa_fixture
+from toporag.reasoning import ReasoningWeights
 
 from helpers import FIXTURES
 
@@ -109,3 +110,14 @@ def test_mock_answer_table():
     examples = load_qa_fixture(FIXTURES / "explagraphs_mini")[:2]
     table = mock_answer_table(examples)
     assert table[examples[0].question] == list(examples[0].answers)
+
+
+def test_evaluate_runs_no_reasoning_pass(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reasoning pass ran")
+
+    monkeypatch.setattr("toporag.pipeline.forward", refuse)
+    monkeypatch.setattr(ReasoningWeights, "initialize", refuse)
+    examples = load_qa_fixture(FIXTURES / "explagraphs_mini")
+    report = evaluate(examples, small_config(mock_llm_mode="lookup"))
+    assert report.aggregate == 1.0
