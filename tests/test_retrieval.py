@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from toporag.embedding import DeterministicProvider, cosine
 from toporag.errors import EmptyCandidates, TooLarge
+from toporag.lifting import connected_components
 from toporag.retrieval import (assign_prizes, brute_force_subcomplex,
                                encode_query, enforce_boundary_consistency,
                                is_feasible, retrieve_subcomplex,
@@ -194,6 +195,41 @@ def test_closure_of_one_cell_adds_endpoints():
     cx = lift(triangle())
     e = cx.one_cell_id(0)
     assert enforce_boundary_consistency(cx, {e}) == {0, 1, e}
+
+
+def test_is_feasible_agrees_with_components_of_selection():
+    """On closed random selections, feasibility is exactly "the selected
+    0/1-cells form one connected graph"."""
+    rng = random.Random(11)
+    checked = {True: 0, False: 0}
+    for trial in range(200):
+        n_parts = trial % 3 + 1
+        edges, offset = [], 0
+        for _ in range(n_parts):
+            part = random_connected_graph(rng, rng.randrange(2, 7),
+                                          rng.randrange(1, 10))
+            edges += [(offset + e.src, offset + e.dst) for e in part.edges]
+            offset += part.num_nodes
+        if trial % 4 == 0:
+            v = rng.randrange(offset)
+            edges.append((v, v))
+        cx = lift(make_graph(offset, edges))
+        size = rng.randrange(0, min(6, cx.num_cells) + 1)
+        cells = enforce_boundary_consistency(
+            cx, set(rng.sample(range(cx.num_cells), size)))
+        vertices = sorted(c for c in cells if cx.cells[c].dim == 0)
+        relabel = {v: i for i, v in enumerate(vertices)}
+        sub_edges = []
+        for c in sorted(cells):
+            cell = cx.cells[c]
+            if cell.dim == 1:
+                u, v = cell.boundary * 2 if cell.is_self_loop else cell.boundary
+                sub_edges.append((relabel[u], relabel[v]))
+        sub_graph = make_graph(len(vertices), sub_edges)
+        expected = len(connected_components(sub_graph)) == 1
+        assert is_feasible(cx, cells) == expected, (trial, sorted(cells))
+        checked[expected] += 1
+    assert min(checked.values()) >= 20
 
 
 # --- brute force oracle ---
