@@ -73,7 +73,13 @@ class Cell:
 
 @dataclass(frozen=True)
 class CellComplex:
-    """An immutable 2-dimensional cell complex over a textual graph."""
+    """An immutable 2-dimensional cell complex over a textual graph.
+
+    ``coboundary[c]`` lists the cofaces of cell ``c`` in ascending id;
+    for a vertex these are its 1-cells, a self-loop once. ``components``
+    holds the sorted vertex ids of each connected component of the
+    graph, found once when the skeleton is built.
+    """
 
     graph: TextualGraph
     cells: tuple[Cell, ...]
@@ -81,6 +87,7 @@ class CellComplex:
     n1: int
     n2: int
     coboundary: tuple[tuple[int, ...], ...]
+    components: tuple[tuple[int, ...], ...]
     tree_edges: frozenset[int]
     policy: SpanningTreePolicy | None
     embeddings: EmbeddingTable
@@ -213,6 +220,7 @@ def build_skeleton(graph: TextualGraph, node_vecs: list[np.ndarray],
         cells=tuple(cells),
         n0=n0, n1=n1, n2=0,
         coboundary=tuple(tuple(c) for c in coboundary),
+        components=tuple(tuple(c) for c in connected_components(graph)),
         tree_edges=frozenset(),
         policy=None,
         embeddings=table,
@@ -438,6 +446,7 @@ def attach_two_cells(skeleton: CellComplex, tree: frozenset[int],
         cells=tuple(cells),
         n0=n0, n1=n1, n2=n2,
         coboundary=tuple(tuple(c) for c in coboundary),
+        components=skeleton.components,
         tree_edges=tree,
         policy=policy,
         embeddings=table,

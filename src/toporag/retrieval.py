@@ -21,13 +21,14 @@ with ``cost(x2) = |boundary edges| * C2``.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import cosine, embed_texts
 from .errors import EmptyCandidates, TooLarge
-from .lifting import CellComplex, connected_components
+from .lifting import CellComplex
 
 PRIZE_INDEXING = ("alg3", "eq14")
 
@@ -194,64 +195,42 @@ def selection_objective(complex: CellComplex, assignment: PrizeAssignment,
     return total_prize, cost
 
 
-def _skeleton_connected(complex: CellComplex, cells: frozenset[int]) -> bool:
-    """True iff the selected 0/1-cells form one connected piece."""
-    vertices = [c for c in cells if complex.cells[c].dim == 0]
-    if not vertices:
-        return False
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in cells:
-        cell = complex.cells[c]
-        if cell.dim == 1 and len(cell.boundary) == 2:
-            u, v = cell.boundary
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    roots = {find(v) for v in vertices}
-    return len(roots) == 1
-
-
-def is_feasible(complex: CellComplex, cells: frozenset[int]) -> bool:
-    """Nonempty, boundary-closed, connected 1-skeleton."""
-    if not cells:
-        return False
-    if enforce_boundary_consistency(complex, cells) != cells:
-        return False
-    return _skeleton_connected(complex, cells)
+def _neighbors(complex: CellComplex, v: int):
+    """(1-cell, other endpoint) for each non-loop 1-cell at vertex ``v``,
+    in ascending 1-cell id."""
+    for ecid in complex.coboundary[v]:
+        boundary = complex.cells[ecid].boundary
+        if len(boundary) == 2:
+            yield ecid, boundary[1] if boundary[0] == v else boundary[0]
 
 
 def _selection_certificate(complex: CellComplex,
                            cells: frozenset[int]) -> tuple[int, ...]:
     """Spanning 1-cells of the selection's 1-skeleton (BFS order)."""
-    vertices = sorted(c for c in cells if complex.cells[c].dim == 0)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
-    for c in sorted(cells):
-        cell = complex.cells[c]
-        if cell.dim == 1 and len(cell.boundary) == 2:
-            u, v = cell.boundary
-            adj[u].append((c, v))
-            adj[v].append((c, u))
     seen, spanning = set(), []
-    for root in vertices:
+    for root in sorted(c for c in cells if complex.cells[c].dim == 0):
         if root in seen:
             continue
         seen.add(root)
-        queue = [root]
+        queue = deque([root])
         while queue:
-            v = queue.pop(0)
-            for ecid, w in adj[v]:
-                if w not in seen:
+            v = queue.popleft()
+            for ecid, w in _neighbors(complex, v):
+                if ecid in cells and w not in seen:
                     seen.add(w)
                     spanning.append(ecid)
                     queue.append(w)
     return tuple(spanning)
+
+
+def is_feasible(complex: CellComplex, cells: frozenset[int]) -> bool:
+    """Nonempty, boundary-closed, connected 1-skeleton: the selection's
+    spanning forest is one tree, with one edge fewer than its vertices."""
+    if enforce_boundary_consistency(complex, cells) != cells:
+        return False
+    n_vertices = sum(1 for c in cells if complex.cells[c].dim == 0)
+    return n_vertices > 0 and \
+        len(_selection_certificate(complex, cells)) == n_vertices - 1
 
 
 def _provenance(complex: CellComplex, assignment: PrizeAssignment,
@@ -294,7 +273,8 @@ def _make_subcomplex(complex: CellComplex, assignment: PrizeAssignment,
 _EPS = 1e-12
 
 
-def _gw_pcst(vertices: list[int], edges: list[tuple[int, int, int, float]],
+def _gw_pcst(vertices: tuple[int, ...],
+             edges: list[tuple[int, int, int, float]],
              node_prize: dict[int, float]) -> tuple[set[int], set[int]]:
     """Unrooted prize-collecting Steiner approximation.
 
@@ -375,7 +355,7 @@ def _gw_pcst(vertices: list[int], edges: list[tuple[int, int, int, float]],
     return _best_pruned_tree(vertices, forest_edges, node_prize)
 
 
-def _best_pruned_tree(vertices: list[int],
+def _best_pruned_tree(vertices: tuple[int, ...],
                       forest_edges: list[tuple[int, int, int, float]],
                       node_prize: dict[int, float]) -> tuple[set[int], set[int]]:
     """Strong-prune the GW forest; return the best tree's cells.
@@ -457,10 +437,11 @@ def _best_pruned_tree(vertices: list[int],
 
 
 def _connector_path(complex: CellComplex, selected: frozenset[int],
-                    assignment: PrizeAssignment, component_vertices: list[int],
+                    assignment: PrizeAssignment,
                     targets: set[int]) -> frozenset[int] | None:
     """Cheapest path of cells from the current selection to any target
-    vertex; multi-source Dijkstra over the component's 1-skeleton.
+    vertex; multi-source Dijkstra over the 1-skeleton, which cannot
+    leave the sources' component.
 
     Edge weight is 0 for already-selected or ranked 1-cells, else
     ``c_edge``. Returns the cells to add (vertices and edges), or None
@@ -470,15 +451,6 @@ def _connector_path(complex: CellComplex, selected: frozenset[int],
     if not sources:
         return None
     ranked1 = assignment.ranked1_ids
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in component_vertices}
-    for cid in complex.cell_ids(1):
-        cell = complex.cells[cid]
-        if len(cell.boundary) != 2:
-            continue
-        u, v = cell.boundary
-        if u in adj and v in adj:
-            adj[u].append((cid, v))
-            adj[v].append((cid, u))
 
     def weight(ecid: int) -> float:
         if ecid in selected or ecid in ranked1:
@@ -495,7 +467,7 @@ def _connector_path(complex: CellComplex, selected: frozenset[int],
         d, hops, v = heapq.heappop(heap)
         if (d, hops) > dist[v]:
             continue
-        for ecid, w in sorted(adj[v]):
+        for ecid, w in _neighbors(complex, v):
             nd, nh = d + weight(ecid), hops + 1
             cur = dist.get(w)
             if cur is None or (nd, nh) < cur:
@@ -517,20 +489,16 @@ def _connector_path(complex: CellComplex, selected: frozenset[int],
 
 
 def _solve_component(complex: CellComplex, assignment: PrizeAssignment,
-                     component_vertices: list[int],
+                     component_vertices: tuple[int, ...],
                      selected2: list[int]) -> frozenset[int]:
     """Phase a+b of the solver for one graph component."""
     vset = set(component_vertices)
     ranked1 = assignment.ranked1_ids
     node_prize = {v: assignment.prize_of(v) for v in component_vertices}
     edges = []
-    for cid in complex.cell_ids(1):
-        cell = complex.cells[cid]
-        if len(cell.boundary) != 2:
-            continue
-        u, v = cell.boundary
-        if u not in vset:
-            continue
+    for cid in sorted({ecid for v in component_vertices
+                       for ecid, _ in _neighbors(complex, v)}):
+        u, v = complex.cells[cid].boundary
         # ranked edge prizes are folded into endpoint half-prizes
         if cid in ranked1:
             half = assignment.prize_of(cid) / 2.0
@@ -540,8 +508,7 @@ def _solve_component(complex: CellComplex, assignment: PrizeAssignment,
         else:
             edges.append((cid, u, v, assignment.c_edge))
 
-    gw_vertices, gw_edges = _gw_pcst(sorted(component_vertices), edges,
-                                     node_prize)
+    gw_vertices, gw_edges = _gw_pcst(component_vertices, edges, node_prize)
     base = set(gw_vertices) | set(gw_edges)
     # ranked 1-cells with both endpoints already selected are free prize
     for cid in sorted(ranked1):
@@ -578,7 +545,7 @@ def _solve_component(complex: CellComplex, assignment: PrizeAssignment,
         if not cycle_vertices & {c for c in selection
                                  if complex.cells[c].dim == 0}:
             connector = _connector_path(complex, selection, assignment,
-                                        component_vertices, cycle_vertices)
+                                        cycle_vertices)
             if connector is None:
                 return None
             addition |= connector
@@ -631,11 +598,9 @@ def solve_subcomplex(complex: CellComplex, assignment: PrizeAssignment,
         return _make_subcomplex(complex, assignment,
                                 [frozenset([fallback[0]])], degenerate=True)
 
-    components = [comp for comp in connected_components(complex.graph)
-                  if seeds & set(comp)]
     selections = [
         _solve_component(complex, assignment, comp, selected2)
-        for comp in components
+        for comp in complex.components if not seeds.isdisjoint(comp)
     ]
     return _make_subcomplex(complex, assignment, selections)
 
@@ -666,7 +631,7 @@ def brute_force_subcomplex(complex: CellComplex,
         if req != mask:
             continue
         cells = frozenset(cells_list)
-        if not _skeleton_connected(complex, cells):
+        if not is_feasible(complex, cells):
             continue
         prize, cost = selection_objective(complex, assignment, cells)
         key = (-(prize - cost), len(cells_list), tuple(cells_list))
