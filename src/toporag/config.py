@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ValidationError
-from .generation import DEFAULT_MAX_INPUT_TOKENS, DEFAULT_MAX_NEW_TOKENS, DEFAULT_PREAMBLE
+from .generation import (DEFAULT_MAX_INPUT_TOKENS, DEFAULT_MAX_NEW_TOKENS,
+                         DEFAULT_PREAMBLE, MockLlmClient)
 from .reasoning import ReasoningConfig
 
 VALID_K2 = (0, 1, 2, 3)
@@ -70,8 +71,13 @@ class PipelineConfig:
             raise ValidationError("embed_provider must be deterministic or http")
         if self.llm_provider not in ("mock", "http"):
             raise ValidationError("llm_provider must be mock or http")
-        if self.layers < 1:
-            raise ValidationError("layers must be >= 1")
+        if self.mock_llm_mode not in MockLlmClient.MODES:
+            raise ValidationError(
+                f"mock_llm_mode must be one of {MockLlmClient.MODES}")
+        try:
+            self.reasoning_config()
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
         if self.embed_dim <= 0 or self.state_dim <= 0 or self.proj_dim <= 0:
             raise ValidationError("dimensions must be positive")
         if self.state_dim != self.embed_dim:

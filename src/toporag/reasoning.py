@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySubcomplex, ValidationError
+from .errors import (DimensionMismatch, EmptySubcomplex, IoError,
+                     ValidationError)
 from .retrieval import Subcomplex
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -140,9 +141,16 @@ def _read_header(fh) -> tuple[dict, ReasoningConfig]:
             seed=header["seed"],
             proj_dim=header["proj_dim"],
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"bad weight file header: {exc}") from exc
     return header, config
+
+
+def _open_weight_file(path):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise IoError(f"weight file {path}: {exc.strerror}") from exc
 
 
 def check_weight_file(path, expected: ReasoningConfig) -> None:
@@ -151,7 +159,7 @@ def check_weight_file(path, expected: ReasoningConfig) -> None:
 
     Reads only the header line, not the weights.
     """
-    with open(path, "rb") as fh:
+    with _open_weight_file(path) as fh:
         _, got = _read_header(fh)
     mismatched = [
         f"{key}={getattr(got, key)} (config: {getattr(expected, key)})"
@@ -231,7 +239,7 @@ class ReasoningWeights:
 
     @classmethod
     def load(cls, path) -> "ReasoningWeights":
-        with open(path, "rb") as fh:
+        with _open_weight_file(path) as fh:
             header, config = _read_header(fh)
             params = {}
             for spec in header["arrays"]:

@@ -226,6 +226,57 @@ def test_answer_rejects_mismatched_weight_file(tmp_path, capsys, triangle_path,
     assert f"{reported}={value}" in capsys.readouterr().err
 
 
+def write_small_cfg(path, **values):
+    lines = ["embed_dim = 16", "state_dim = 16", "proj_dim = 16", "layers = 2"]
+    lines += [f"{key} = {json.dumps(value)}" for key, value in values.items()]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["answer", "eval"])
+def test_missing_weight_file_is_io_error(tmp_path, capsys, triangle_path,
+                                         command):
+    cfg = write_small_cfg(tmp_path / "w.cfg", weights_path="/nonexistent/w.bin")
+    target = (triangle_path if command == "answer"
+              else str(FIXTURES / "explagraphs_mini"))
+    extra = ["--question", "q"] if command == "answer" else []
+    assert main([command, target, *extra, "--config", cfg,
+                 "--mock-llm", "echo"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "/nonexistent/w.bin" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("activation", "gelu"), ("aggregation", "max"), ("layers", 0),
+    ("mock_llm_mode", "bogus"),
+])
+def test_config_with_unknown_mode_is_rejected_at_load(tmp_path, capsys,
+                                                      triangle_path, key,
+                                                      value):
+    cfg = write_small_cfg(tmp_path / "bad.cfg", **{key: value})
+    assert main(["answer", triangle_path, "--question", "q", "--config", cfg,
+                 "--artifacts-dir", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("activation", "gelu"), ("aggregation", "max"),
+])
+def test_weight_header_with_unknown_mode_is_validation_error(
+        tmp_path, capsys, triangle_path, key, value):
+    weights_path = tmp_path / "w.bin"
+    ReasoningWeights.initialize(ReasoningConfig(
+        layers=2, state_dim=16, proj_dim=16)).save(weights_path)
+    header, _, payload = weights_path.read_bytes().partition(b"\n")
+    header = json.loads(header)
+    header[key] = value
+    weights_path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    cfg = write_small_cfg(tmp_path / "w.cfg", weights_path=str(weights_path))
+    assert main(["answer", triangle_path, "--question", "q", "--config", cfg,
+                 "--mock-llm", "echo"]) == 2
+    assert "bad weight file header" in capsys.readouterr().err
+
+
 def test_answer_accepts_weight_file_with_other_seed(tmp_path, capsys,
                                                     triangle_path):
     weights_path = tmp_path / "w.bin"

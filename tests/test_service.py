@@ -11,7 +11,7 @@ import pytest
 import requests
 
 from toporag.config import PipelineConfig
-from toporag.errors import ValidationError
+from toporag.errors import IoError, ValidationError
 from toporag.graph_io import save_graph
 from toporag.reasoning import ReasoningConfig, ReasoningWeights
 from toporag.service import (MAX_BODY_BYTES, ServiceState, load_manifest,
@@ -232,6 +232,13 @@ def test_mismatched_weight_file_fails_at_start(tmp_path):
     config = PipelineConfig(embed_dim=16, state_dim=16, proj_dim=16, layers=3,
                             weights_path=str(weights_path))
     with pytest.raises(ValidationError, match="layers=2"):
+        make_server(config, {"scene": str(FIXTURES / "scene_loop")}, port=0)
+
+
+def test_missing_weight_file_fails_at_start():
+    config = PipelineConfig(embed_dim=16, state_dim=16, proj_dim=16, layers=2,
+                            weights_path="/nonexistent/w.bin")
+    with pytest.raises(IoError, match="/nonexistent/w.bin"):
         make_server(config, {"scene": str(FIXTURES / "scene_loop")}, port=0)
 
 
