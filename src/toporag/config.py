@@ -15,7 +15,9 @@ from pathlib import Path
 from .errors import ValidationError
 from .generation import (DEFAULT_MAX_INPUT_TOKENS, DEFAULT_MAX_NEW_TOKENS,
                          DEFAULT_PREAMBLE, MockLlmClient)
+from .lifting import SpanningTreePolicy
 from .reasoning import ReasoningConfig
+from .retrieval import PRIZE_INDEXING
 
 VALID_K2 = (0, 1, 2, 3)
 
@@ -57,16 +59,21 @@ class PipelineConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise ValidationError(
+                    f"{f.name} must be {kind.__name__}, got {value!r}")
         if self.k0 < 0 or self.k1 < 0:
             raise ValidationError("k0 and k1 must be non-negative")
         if self.k2 not in VALID_K2:
             raise ValidationError(f"k2 must be in {VALID_K2}")
         if self.c2 < 0 or self.c_edge < 0:
             raise ValidationError("c2 and c_edge must be non-negative")
-        if self.prize_indexing not in ("alg3", "eq14"):
-            raise ValidationError("prize_indexing must be alg3 or eq14")
-        if self.policy not in ("dfs", "bfs", "random"):
-            raise ValidationError("policy must be dfs, bfs or random")
+        if self.prize_indexing not in PRIZE_INDEXING:
+            raise ValidationError(
+                f"prize_indexing must be one of {PRIZE_INDEXING}")
         if self.embed_provider not in ("deterministic", "http"):
             raise ValidationError("embed_provider must be deterministic or http")
         if self.llm_provider not in ("mock", "http"):
@@ -75,6 +82,7 @@ class PipelineConfig:
             raise ValidationError(
                 f"mock_llm_mode must be one of {MockLlmClient.MODES}")
         try:
+            SpanningTreePolicy(self.policy, self.policy_seed)
             self.reasoning_config()
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc

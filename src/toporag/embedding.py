@@ -47,9 +47,6 @@ class EmbeddingTable:
     fingerprint: str
     by_dim: dict[int, np.ndarray] = field(default_factory=dict)
 
-    def vectors(self, cell_dim: int) -> np.ndarray:
-        return self.by_dim[cell_dim]
-
     def vector(self, cell_dim: int, local_index: int) -> np.ndarray:
         return self.by_dim[cell_dim][local_index]
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,9 +107,6 @@ class CellComplex:
         pairs.sort(key=lambda p: (p[1], p[0]))
         return pairs
 
-    def cell(self, cell_id: int) -> Cell:
-        return self.cells[cell_id]
-
     def cell_ids(self, dim: int) -> range:
         if dim == 0:
             return range(self.n0)
@@ -150,26 +146,38 @@ def _adjacency(graph: TextualGraph,
     return adj
 
 
-def connected_components(graph: TextualGraph) -> list[list[int]]:
-    """Vertex lists of the graph's connected components, each sorted."""
-    adj = _adjacency(graph)
-    seen = [False] * graph.num_nodes
+def _bfs_forest(adj: list[list[tuple[int, int]]]):
+    """Breadth-first spanning forest over an ``_adjacency`` list.
+
+    Each tree is rooted at the smallest vertex not yet reached, and
+    adjacency lists are scanned in edge order. Returns ``(parent,
+    parent_edge, depth, components)``: per-vertex parent vertex and the
+    edge index joining them (-1 at roots), depth below the root, and
+    each component's vertices in visiting order.
+    """
+    n = len(adj)
+    parent, parent_edge, depth = [-1] * n, [-1] * n, [0] * n
+    seen = [False] * n
     components = []
-    for start in range(graph.num_nodes):
-        if seen[start]:
+    for root in range(n):
+        if seen[root]:
             continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for _, w in adj[v]:
+        seen[root] = True
+        comp = [root]
+        for v in comp:  # comp is the queue: the loop reaches appended vertices
+            for idx, w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
+                    parent[w], parent_edge[w] = v, idx
+                    depth[w] = depth[v] + 1
                     comp.append(w)
-                    queue.append(w)
-        components.append(sorted(comp))
-    return components
+        components.append(comp)
+    return parent, parent_edge, depth, components
+
+
+def connected_components(graph: TextualGraph) -> list[list[int]]:
+    """Vertex lists of the graph's connected components, each sorted."""
+    return [sorted(comp) for comp in _bfs_forest(_adjacency(graph))[3]]
 
 
 def build_skeleton(graph: TextualGraph, node_vecs: list[np.ndarray],
@@ -259,32 +267,24 @@ def spanning_tree(graph: TextualGraph,
         return frozenset(tree)
 
     adj = _adjacency(graph)
+    if policy.kind == "bfs":
+        return frozenset(idx for idx in _bfs_forest(adj)[1] if idx != -1)
     seen = [False] * n
-    for root in range(n):
+    for root in range(n):  # dfs, recursion order over adjacency lists
         if seen[root]:
             continue
         seen[root] = True
-        if policy.kind == "bfs":
-            queue = deque([root])
-            while queue:
-                v = queue.popleft()
-                for idx, w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        tree.add(idx)
-                        queue.append(w)
-        else:  # dfs, recursion order over adjacency lists
-            stack = [(root, iter(adj[root]))]
-            while stack:
-                _, neighbors = stack[-1]
-                for idx, w in neighbors:
-                    if not seen[w]:
-                        seen[w] = True
-                        tree.add(idx)
-                        stack.append((w, iter(adj[w])))
-                        break
-                else:
-                    stack.pop()
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            _, neighbors = stack[-1]
+            for idx, w in neighbors:
+                if not seen[w]:
+                    seen[w] = True
+                    tree.add(idx)
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
     return frozenset(tree)
 
 
@@ -292,26 +292,8 @@ class _RootedForest:
     """Spanning forest rooted per component, for O(path) tree paths."""
 
     def __init__(self, graph: TextualGraph, tree: frozenset[int]):
-        n = graph.num_nodes
-        self.parent = [-1] * n
-        self.parent_edge = [-1] * n
-        self.depth = [0] * n
-        adj = _adjacency(graph, edge_filter=tree)
-        seen = [False] * n
-        for root in range(n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            queue = deque([root])
-            while queue:
-                v = queue.popleft()
-                for idx, w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        self.parent[w] = v
-                        self.parent_edge[w] = idx
-                        self.depth[w] = self.depth[v] + 1
-                        queue.append(w)
+        self.parent, self.parent_edge, self.depth, _ = _bfs_forest(
+            _adjacency(graph, edge_filter=tree))
 
     def path(self, start: int, goal: int) -> tuple[list[int], list[int]]:
         """Unique forest path from start to goal: (vertices, edges)."""
@@ -391,8 +373,7 @@ def aggregate_cycle_embedding(cycle: tuple[list[int], list[int]],
 
 
 def attach_two_cells(skeleton: CellComplex, tree: frozenset[int],
-                     policy: SpanningTreePolicy | None = None,
-                     aggregate: str = "mean") -> CellComplex:
+                     policy: SpanningTreePolicy | None = None) -> CellComplex:
     """Attach one 2-cell per non-tree, non-self-loop edge.
 
     2-cell embeddings are pooled from the boundary cycle's 0/1-cell
@@ -424,8 +405,7 @@ def attach_two_cells(skeleton: CellComplex, tree: frozenset[int],
         cells.append(Cell(id=next_id, dim=2, boundary=boundary, walk=walk))
         for ecid in boundary:
             coboundary[ecid].append(next_id)
-        z2_rows.append(aggregate_cycle_embedding((vertices, edges), z0, z1,
-                                                 mode=aggregate))
+        z2_rows.append(aggregate_cycle_embedding((vertices, edges), z0, z1))
         next_id += 1
 
     n2 = next_id - n0 - n1
@@ -457,12 +437,11 @@ def attach_two_cells(skeleton: CellComplex, tree: frozenset[int],
 def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
                edge_vecs: list[np.ndarray],
                policy: SpanningTreePolicy = DFS,
-               fingerprint: str = "",
-               aggregate: str = "mean") -> CellComplex:
+               fingerprint: str = "") -> CellComplex:
     """Full lifting: skeleton, spanning forest, 2-cell attachment."""
     skeleton = build_skeleton(graph, node_vecs, edge_vecs, fingerprint=fingerprint)
     tree = spanning_tree(graph, policy)
-    return attach_two_cells(skeleton, tree, policy=policy, aggregate=aggregate)
+    return attach_two_cells(skeleton, tree, policy=policy)
 
 
 def betti1(graph: TextualGraph, count_self_loops: bool = False) -> int:

@@ -284,55 +284,37 @@ def init_states(sub: Subcomplex, state_dim: int | None = None) -> CellStates:
             f"embedding dim {dim} != configured state dim {state_dim}")
     rows = []
     for cid in cell_ids:
-        cell = complex.cells[cid]
-        table = complex.embeddings.by_dim.get(cell.dim)
-        local = cid if cell.dim == 0 else (
-            cid - complex.n0 if cell.dim == 1 else cid - complex.n0 - complex.n1)
-        if table is None or local >= len(table):
-            raise ValidationError(f"no embedding stored for cell {cid}")
-        rows.append(np.asarray(table[local], dtype=np.float64))
-    return CellStates(cell_ids=cell_ids, states=np.array(rows), layer=0)
+        try:
+            rows.append(complex.vector(cid))
+        except (KeyError, IndexError) as exc:
+            raise ValidationError(f"no embedding stored for cell {cid}") from exc
+    return CellStates(cell_ids=cell_ids, states=np.array(rows, dtype=np.float64),
+                      layer=0)
 
 
-class _Neighborhoods:
-    """Subcomplex-restricted incidence, as row-index pair lists."""
+class _Incidence:
+    """Subcomplex-restricted incidence as arrays of state-row indices.
+
+    Rows of ``face`` are (cell, face), in cell order then boundary
+    order; ``coface`` holds the same pairs turned around, sorted; rows
+    of ``upper`` are (cell, neighbor, shared coface), sorted by cell,
+    coface, then neighbor. The first column is where a message lands.
+    """
 
     def __init__(self, sub: Subcomplex):
         complex = sub.complex
-        cell_ids = sub.all_cells()
-        self.cell_ids = cell_ids
-        self.index = {cid: i for i, cid in enumerate(cell_ids)}
-        selected = frozenset(cell_ids)
-        self.dims = np.array([complex.cells[c].dim for c in cell_ids])
-
-        def rows_of(pairs):
-            return ([self.index[a] for a, b in pairs],
-                    [self.index[b] for a, b in pairs])
-
-        face_pairs, coface_pairs, skeleton_coface_pairs = [], [], []
-        upper_triples = []
-        for cid in cell_ids:
-            cell = complex.cells[cid]
-            for b in cell.boundary:
-                if b in selected:
-                    face_pairs.append((cid, b))
-            for c in complex.coboundary[cid]:
-                if c in selected:
-                    coface_pairs.append((cid, c))
-                    if complex.cells[c].dim == 1:
-                        skeleton_coface_pairs.append((cid, c))
-            for w, cof in complex.upper_adjacent(cid):
-                if w in selected and cof in selected:
-                    upper_triples.append((cid, w, cof))
-
-        self.face = rows_of(face_pairs)
-        self.coface = rows_of(coface_pairs)
-        self.skeleton_coface = rows_of(skeleton_coface_pairs)
-        self.upper = (
-            [self.index[x] for x, w, c in upper_triples],
-            [self.index[w] for x, w, c in upper_triples],
-            [self.index[c] for x, w, c in upper_triples],
-        )
+        self.cell_ids = sub.all_cells()
+        index = {cid: i for i, cid in enumerate(self.cell_ids)}
+        self.dims = np.array([complex.cells[c].dim for c in self.cell_ids])
+        faces = [[index[b] for b in complex.cells[cid].boundary if b in index]
+                 for cid in self.cell_ids]
+        face = [(x, y) for x, ys in enumerate(faces) for y in ys]
+        coface = sorted((y, x) for x, y in face)
+        upper = sorted((x, c, w) for x, c in coface for w in faces[c] if w != x)
+        self.face = np.array(face, dtype=np.intp).reshape(-1, 2)
+        self.coface = np.array(coface, dtype=np.intp).reshape(-1, 2)
+        self.upper = np.array([(x, w, c) for x, c, w in upper],
+                              dtype=np.intp).reshape(-1, 3)
 
 
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -346,60 +328,68 @@ def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _aggregate_messages(h: np.ndarray, dst_rows: list[int],
-                        inputs: np.ndarray, w: np.ndarray, b: np.ndarray,
-                        config: ReasoningConfig) -> np.ndarray:
-    """AGG of activated affine messages, scattered onto destination rows."""
+def _affine(x: np.ndarray, weights: ReasoningWeights, name: str,
+            config: ReasoningConfig) -> np.ndarray:
+    """The activated affine map ``name`` of the concatenated inputs ``x``."""
+    return _activate(_linear(x, weights[f"{name}.w"], weights[f"{name}.b"]),
+                     config.activation)
+
+
+def _messages(h: np.ndarray, pairs: np.ndarray, weights: ReasoningWeights,
+              name: str, config: ReasoningConfig) -> np.ndarray:
+    """AGG of activated affine messages, one per row of ``pairs``.
+
+    A row's message reads the states of all its cells, concatenated,
+    and lands on its first cell; a cell with no rows gets zero.
+    """
     n, d = h.shape
+    inputs = h[pairs].reshape(len(pairs), pairs.shape[1] * d)
     out = np.zeros((n, d))
-    if not dst_rows:
-        return out
-    messages = _activate(_linear(inputs, w, b), config.activation)
-    np.add.at(out, np.asarray(dst_rows), messages)
+    np.add.at(out, pairs[:, 0], _affine(inputs, weights, name, config))
     if config.aggregation == "mean":
-        counts = np.zeros(n)
-        np.add.at(counts, np.asarray(dst_rows), 1.0)
+        counts = np.bincount(pairs[:, 0], minlength=n)
         nonzero = counts > 0
         out[nonzero] /= counts[nonzero, None]
     return out
 
 
-def _face_coface_messages(h: np.ndarray, hoods: _Neighborhoods,
-                          weights: ReasoningWeights, prefix: str,
-                          config: ReasoningConfig,
-                          skeleton_only: bool) -> tuple[np.ndarray, np.ndarray]:
-    fx, fy = hoods.face
-    coface = hoods.skeleton_coface if skeleton_only else hoods.coface
-    cx, cz = coface
-    m_face = _aggregate_messages(
-        h, fx, np.concatenate([h[fx], h[fy]], axis=1) if fx else np.zeros((0, 2 * h.shape[1])),
-        weights[f"{prefix}.face.w"], weights[f"{prefix}.face.b"], config)
-    m_coface = _aggregate_messages(
-        h, cx, np.concatenate([h[cx], h[cz]], axis=1) if cx else np.zeros((0, 2 * h.shape[1])),
-        weights[f"{prefix}.coface.w"], weights[f"{prefix}.coface.b"], config)
-    return m_face, m_coface
+def _stage1(states: CellStates, inc: _Incidence, weights: ReasoningWeights,
+            config: ReasoningConfig) -> CellStates:
+    if inc.cell_ids != states.cell_ids:
+        raise ValidationError("states do not align with the subcomplex cells")
+    h = states.states
+    skeleton_coface = inc.coface[inc.dims[inc.coface[:, 1]] == 1]
+    low = inc.dims <= 1
+    for layer in range(config.layers):
+        prefix = f"layer{layer}"
+        updated = _affine(np.concatenate([
+            h,
+            _messages(h, inc.face, weights, f"{prefix}.face", config),
+            _messages(h, skeleton_coface, weights, f"{prefix}.coface", config),
+        ], axis=1), weights, f"{prefix}.update", config)
+        h = np.where(low[:, None], updated, h)
+    return CellStates(cell_ids=states.cell_ids, states=h,
+                      layer=states.layer + config.layers)
+
+
+def _stage2(states: CellStates, inc: _Incidence, weights: ReasoningWeights,
+            config: ReasoningConfig) -> CellStates:
+    h = states.states
+    updated = _affine(np.concatenate([
+        h,
+        _messages(h, inc.face, weights, "final.face", config),
+        _messages(h, inc.coface, weights, "final.coface", config),
+        _messages(h, inc.upper, weights, "final.upper", config),
+    ], axis=1), weights, "final.update", config)
+    return CellStates(cell_ids=states.cell_ids, states=updated,
+                      layer=states.layer + 1)
 
 
 def stage1_pass(states: CellStates, sub: Subcomplex,
                 weights: ReasoningWeights,
                 config: ReasoningConfig) -> CellStates:
     """L hops along the 1-skeleton; 2-cell states pass through."""
-    hoods = _Neighborhoods(sub)
-    if hoods.cell_ids != states.cell_ids:
-        raise ValidationError("states do not align with the subcomplex cells")
-    h = states.states.copy()
-    low = hoods.dims <= 1
-    for layer in range(config.layers):
-        m_face, m_coface = _face_coface_messages(
-            h, hoods, weights, f"layer{layer}", config, skeleton_only=True)
-        concat = np.concatenate([h, m_face, m_coface], axis=1)
-        updated = _activate(
-            _linear(concat, weights[f"layer{layer}.update.w"],
-                    weights[f"layer{layer}.update.b"]),
-            config.activation)
-        h = np.where(low[:, None], updated, h)
-    return CellStates(cell_ids=states.cell_ids, states=h,
-                      layer=states.layer + config.layers)
+    return _stage1(states, _Incidence(sub), weights, config)
 
 
 def stage2_pass(states: CellStates, sub: Subcomplex,
@@ -411,31 +401,15 @@ def stage2_pass(states: CellStates, sub: Subcomplex,
     a coface, an affine map of (h_x, h_w, h_coface); the coface state
     is its current (layer-L) state.
     """
-    hoods = _Neighborhoods(sub)
-    h = states.states
-    m_face, m_coface = _face_coface_messages(
-        h, hoods, weights, "final", config, skeleton_only=False)
-    ux, uw, uc = hoods.upper
-    if ux:
-        inputs = np.concatenate([h[ux], h[uw], h[uc]], axis=1)
-    else:
-        inputs = np.zeros((0, 3 * h.shape[1]))
-    m_upper = _aggregate_messages(h, ux, inputs, weights["final.upper.w"],
-                                  weights["final.upper.b"], config)
-    concat = np.concatenate([h, m_face, m_coface, m_upper], axis=1)
-    updated = _activate(
-        _linear(concat, weights["final.update.w"], weights["final.update.b"]),
-        config.activation)
-    return CellStates(cell_ids=states.cell_ids, states=updated,
-                      layer=states.layer + 1)
+    return _stage2(states, _Incidence(sub), weights, config)
 
 
 def forward(sub: Subcomplex, weights: ReasoningWeights,
             config: ReasoningConfig) -> CellStates:
     """init -> stage 1 (L hops) -> stage 2, returning final states."""
     states = init_states(sub, state_dim=config.state_dim)
-    states = stage1_pass(states, sub, weights, config)
-    return stage2_pass(states, sub, weights, config)
+    inc = _Incidence(sub)
+    return _stage2(_stage1(states, inc, weights, config), inc, weights, config)
 
 
 def pool(states: CellStates, sub: Subcomplex) -> np.ndarray:

@@ -53,7 +53,6 @@ class PrizeAssignment:
     c_edge: float
     ranked0: tuple[RankedCell, ...]
     ranked1: tuple[RankedCell, ...]
-    indexing: str = "alg3"
 
     def prize_of(self, cell_id: int) -> float:
         return self.prize.get(cell_id, 0.0)
@@ -145,7 +144,7 @@ def assign_prizes(ranked0: list[tuple[int, float]],
     return PrizeAssignment(
         prize=prize, cost_2cell=cost_2cell, k0=k0, k1=k1, c2=c2,
         c_edge=c_edge, ranked0=tuple(ranked_cells0),
-        ranked1=tuple(ranked_cells1), indexing=indexing,
+        ranked1=tuple(ranked_cells1),
     )
 
 
@@ -674,14 +673,13 @@ def retrieve_subcomplex(complex: CellComplex, z_q: np.ndarray, k0: int,
                         indexing: str = "alg3") -> Subcomplex:
     """Full retrieval: rank cells, assign prizes, solve.
 
-    The highest-similarity 0-cell is always computed as the degenerate
-    fallback, independent of ``k0``.
+    The highest-similarity 0-cell is the degenerate fallback, whatever
+    ``k0``: the 0-cells are ranked once, to at least one place.
     """
-    ranked0 = topk_cells(complex, z_q, 0, k0)
+    ranked0 = topk_cells(complex, z_q, 0, max(k0, 1))
     ranked1 = topk_cells(complex, z_q, 1, k1)
-    assignment = assign_prizes(ranked0, ranked1, complex, (k0, k1), c2,
+    assignment = assign_prizes(ranked0[:k0], ranked1, complex, (k0, k1), c2,
                                c_edge=c_edge, indexing=indexing)
     selected2 = topk_two_cells(assignment, complex, k2)
-    fallback_list = topk_cells(complex, z_q, 0, 1)
-    fallback = fallback_list[0] if fallback_list else None
+    fallback = ranked0[0] if ranked0 else None
     return solve_subcomplex(complex, assignment, selected2, fallback=fallback)

@@ -260,6 +260,19 @@ def test_config_with_unknown_mode_is_rejected_at_load(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("key,value", [
+    ("k0", "3"), ("k0", 1.5), ("k0", True), ("layers", 2.5), ("c2", "0.5"),
+    ("embed_dim", 16.0), ("preamble", 5), ("policy_seed", "x"),
+])
+def test_config_value_of_wrong_type_is_rejected_at_load(tmp_path, capsys,
+                                                       triangle_path, key,
+                                                       value):
+    cfg = write_small_cfg(tmp_path / "bad.cfg", **{key: value})
+    assert main(["answer", triangle_path, "--question", "q", "--config", cfg,
+                 "--mock-llm", "echo"]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
     ("activation", "gelu"), ("aggregation", "max"),
 ])
 def test_weight_header_with_unknown_mode_is_validation_error(

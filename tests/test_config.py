@@ -30,6 +30,13 @@ def test_comments_and_blank_lines(tmp_path):
     assert cfg.policy == "bfs"
 
 
+def test_float_field_takes_an_int(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("c2 = 1\nc_edge = 0\n", encoding="utf-8")
+    cfg = load_config(path)
+    assert (cfg.c2, cfg.c_edge) == (1, 0)
+
+
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("k3 = 4\n", encoding="utf-8")

@@ -6,7 +6,7 @@ import pytest
 
 from toporag import reasoning
 from toporag.errors import DimensionMismatch, EmptySubcomplex, ValidationError
-from toporag.lifting import CellComplex
+from toporag.lifting import BFS, DFS, CellComplex, SpanningTreePolicy
 from toporag.embedding import EmbeddingTable
 from toporag.reasoning import (CellStates, ReasoningConfig, ReasoningWeights,
                                _linear, forward, init_states, pool, project,
@@ -157,6 +157,65 @@ def test_forward_matches_naive_reference(activation, aggregation):
                      aggregation=aggregation, seed=trial)
         weights = ReasoningWeights.initialize(cfg)
         states = forward(sub, weights, cfg)
+        expected = naive_forward(sub, weights, cfg)
+        for cid in states.cell_ids:
+            assert np.allclose(states.state(cid), expected[cid], atol=1e-6)
+
+
+def graph_with_loops_and_parallels(rng: random.Random):
+    """1-3 components, each with a self-loop and a parallel edge."""
+    edges, n = [], 0
+    for _ in range(rng.randrange(1, 4)):
+        m = rng.randrange(2, 6)
+        edges += [(n + rng.randrange(v), n + v) for v in range(1, m)]
+        edges.append(edges[-1])
+        loop = n + rng.randrange(m)
+        edges.append((loop, loop))
+        edges += [(n + rng.randrange(m), n + rng.randrange(m))
+                  for _ in range(rng.randrange(4))]
+        n += m
+    rng.shuffle(edges)
+    return make_graph(n, edges)
+
+
+def partial_subcomplex(cx: CellComplex, rng: random.Random) -> Subcomplex:
+    """A random cell subset, not closed under boundaries."""
+    chosen = {c for c in range(cx.num_cells) if rng.random() < 0.6} or {0}
+    return Subcomplex(
+        complex=cx,
+        cells0=tuple(c for c in cx.cell_ids(0) if c in chosen),
+        cells1=tuple(c for c in cx.cell_ids(1) if c in chosen),
+        cells2=tuple(c for c in cx.cell_ids(2) if c in chosen),
+        total_prize=0.0, total_cost=0.0,
+        certificate=(), provenance=(),
+    )
+
+
+@pytest.mark.parametrize("activation", reasoning.ACTIVATIONS)
+@pytest.mark.parametrize("aggregation", reasoning.AGGREGATIONS)
+def test_forward_matches_naive_reference_on_partial_selections(activation,
+                                                               aggregation):
+    rng = random.Random(5)
+    for trial in range(8):
+        policy = rng.choice([DFS, BFS, SpanningTreePolicy("random", trial)])
+        cx = lift(graph_with_loops_and_parallels(rng), dim=D, seed=trial,
+                  policy=policy)
+        sub = partial_subcomplex(cx, rng)
+        selected = set(sub.all_cells())
+        # upper messages are summed in upper_adjacent's order
+        inc = reasoning._Incidence(sub)
+        assert [tuple(sub.all_cells()[i] for i in row) for row in inc.upper] == [
+            (x, w, c) for x in sub.all_cells()
+            for w, c in cx.upper_adjacent(x) if w in selected and c in selected]
+        cfg = config(layers=rng.randrange(1, 4), activation=activation,
+                     aggregation=aggregation, seed=trial)
+        weights = ReasoningWeights.initialize(cfg)
+        states = forward(sub, weights, cfg)
+        staged = stage2_pass(
+            stage1_pass(init_states(sub, state_dim=D), sub, weights, cfg),
+            sub, weights, cfg)
+        assert np.array_equal(states.states, staged.states)
+        assert states.layer == staged.layer == cfg.layers + 1
         expected = naive_forward(sub, weights, cfg)
         for cid in states.cell_ids:
             assert np.allclose(states.state(cid), expected[cid], atol=1e-6)
