@@ -9,9 +9,8 @@ an external (or mock) chat-completions endpoint.
 """
 
 from .config import PipelineConfig, load_config, save_config
-from .embedding import (DeterministicProvider, EmbeddingTable,
-                        HttpEmbeddingProvider, cache_get_or_embed, cosine,
-                        embed_texts)
+from .embedding import (DeterministicProvider, HttpEmbeddingProvider,
+                        cache_get_or_embed, cosine, embed_texts)
 from .generation import (ChatCompletionsClient, GenerationResult, MockLlmClient,
                          PromptBundle, TextualizedSubcomplex, build_prompt,
                          generate, mock_llm, textualize)
@@ -26,7 +25,6 @@ from .pipeline import answer_question, lift_from_config, retrieve_for_question
 from .reasoning import (CellStates, ReasoningConfig, ReasoningWeights, forward,
                         init_states, pool, project, stage1_pass, stage2_pass)
 from .retrieval import (PrizeAssignment, RankedCell, Subcomplex, assign_prizes,
-                        brute_force_subcomplex, encode_query,
                         enforce_boundary_consistency, retrieve_subcomplex,
                         solve_subcomplex, subcomplex_stats, subcomplex_to_dict,
                         topk_cells, topk_two_cells)

@@ -80,8 +80,8 @@ def _complex_dump(complex, report, cache: str = "") -> dict:
                   for c in complex.cells if c.dim == 2],
         },
         "embedding": {
-            "dim": complex.embeddings.dim,
-            "fingerprint": complex.embeddings.fingerprint,
+            "dim": complex.embeddings.shape[1],
+            "fingerprint": complex.fingerprint,
             "cache": cache or None,
         },
     }

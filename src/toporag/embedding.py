@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,21 +33,6 @@ def _check_vector(vec: np.ndarray, dim: int) -> None:
         raise DimensionMismatch(f"expected dim {dim}, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise ValueError("embedding contains non-finite entries")
-
-
-@dataclass
-class EmbeddingTable:
-    """Per-cell embeddings, one float32 matrix per cell dimension.
-
-    Row ``i`` of ``by_dim[d]`` is the vector of the i-th d-cell.
-    """
-
-    dim: int
-    fingerprint: str
-    by_dim: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def vector(self, cell_dim: int, local_index: int) -> np.ndarray:
-        return self.by_dim[cell_dim][local_index]
 
 
 class DeterministicProvider:

@@ -58,10 +58,10 @@ class PromptBundle:
     truncation_flagged: bool
 
 
-def textualize(sub: Subcomplex, graph=None) -> TextualizedSubcomplex:
+def textualize(sub: Subcomplex) -> TextualizedSubcomplex:
     """Render a subcomplex's cells as text sections, ascending cell id."""
     complex = sub.complex
-    graph = graph if graph is not None else complex.graph
+    graph = complex.graph
     n_nodes, n_edges = graph.num_nodes, graph.num_edges
 
     def original(node_cell: int) -> int:

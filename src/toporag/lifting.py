@@ -11,7 +11,9 @@ cycles form a basis of the graph's cycle space, which
 
 Cell ids are dense and dimension-ordered: 0-cells are ``0..n0-1``
 (equal to node ids), 1-cells ``n0..n0+n1-1`` (in edge order), 2-cells
-after that (in non-tree-edge order).
+after that (in non-tree-edge order). Row ``c`` of the complex's
+embedding matrix is cell ``c``'s vector, so the cells of one dimension
+are a row slice.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbeddingTable
 from .errors import DimensionMismatch, SelfLoopExcluded, ValidationError
 from .graph_io import TextualGraph
 
@@ -77,7 +78,9 @@ class CellComplex:
     ``coboundary[c]`` lists the cofaces of cell ``c`` in ascending id;
     for a vertex these are its 1-cells, a self-loop once. ``components``
     holds the sorted vertex ids of each connected component of the
-    graph, found once when the skeleton is built.
+    graph, found once when the skeleton is built. ``embeddings`` is a
+    float32 ``(num_cells, d)`` matrix whose row ``c`` is cell ``c``'s
+    vector; ``fingerprint`` names the provider that embedded the texts.
     """
 
     graph: TextualGraph
@@ -89,23 +92,13 @@ class CellComplex:
     components: tuple[tuple[int, ...], ...]
     tree_edges: frozenset[int]
     policy: SpanningTreePolicy | None
-    embeddings: EmbeddingTable
+    embeddings: np.ndarray
+    fingerprint: str = ""
     self_loop_edges: frozenset[int] = field(default_factory=frozenset)
 
     @property
     def num_cells(self) -> int:
         return self.n0 + self.n1 + self.n2
-
-    def upper_adjacent(self, cell_id: int) -> list[tuple[int, int]]:
-        """(neighbor, shared coface) pairs: cells of the same dimension
-        incident to a common coface, one pair per shared coface."""
-        pairs = []
-        for cof in self.coboundary[cell_id]:
-            for w in self.cells[cof].boundary:
-                if w != cell_id:
-                    pairs.append((w, cof))
-        pairs.sort(key=lambda p: (p[1], p[0]))
-        return pairs
 
     def cell_ids(self, dim: int) -> range:
         if dim == 0:
@@ -125,12 +118,7 @@ class CellComplex:
         return cell_id - self.n0
 
     def vector(self, cell_id: int) -> np.ndarray:
-        cell = self.cells[cell_id]
-        if cell.dim == 0:
-            return self.embeddings.vector(0, cell_id)
-        if cell.dim == 1:
-            return self.embeddings.vector(1, cell_id - self.n0)
-        return self.embeddings.vector(2, cell_id - self.n0 - self.n1)
+        return self.embeddings[cell_id]
 
 
 def _adjacency(graph: TextualGraph,
@@ -212,17 +200,7 @@ def build_skeleton(graph: TextualGraph, node_vecs: list[np.ndarray],
         if edge.dst != edge.src:
             coboundary[edge.dst].append(cid)
 
-    dim = node_vecs[0].shape[0] if node_vecs else (
-        edge_vecs[0].shape[0] if edge_vecs else 0)
-    table = EmbeddingTable(
-        dim=dim,
-        fingerprint=fingerprint,
-        by_dim={
-            0: np.array(node_vecs, dtype=np.float32).reshape(n0, dim),
-            1: np.array(edge_vecs, dtype=np.float32).reshape(n1, dim),
-            2: np.zeros((0, dim), dtype=np.float32),
-        },
-    )
+    dim = dims.pop()[0] if dims else 0
     return CellComplex(
         graph=graph,
         cells=tuple(cells),
@@ -231,7 +209,9 @@ def build_skeleton(graph: TextualGraph, node_vecs: list[np.ndarray],
         components=tuple(tuple(c) for c in connected_components(graph)),
         tree_edges=frozenset(),
         policy=None,
-        embeddings=table,
+        embeddings=np.array([*node_vecs, *edge_vecs],
+                            dtype=np.float32).reshape(n0 + n1, dim),
+        fingerprint=fingerprint,
         self_loop_edges=frozenset(self_loops),
     )
 
@@ -385,8 +365,8 @@ def attach_two_cells(skeleton: CellComplex, tree: frozenset[int],
     cells = list(skeleton.cells[:n0 + n1])
     coboundary = [list(c) for c in skeleton.coboundary[:n0 + n1]]
 
-    z0 = skeleton.embeddings.by_dim[0]
-    z1 = skeleton.embeddings.by_dim[1]
+    z = skeleton.embeddings
+    z0, z1 = z[:n0], z[n0:n0 + n1]
     z2_rows = []
     next_id = n0 + n1
     forest = _RootedForest(graph, tree)
@@ -411,16 +391,6 @@ def attach_two_cells(skeleton: CellComplex, tree: frozenset[int],
     n2 = next_id - n0 - n1
     coboundary.extend([] for _ in range(n2))
 
-    dim = skeleton.embeddings.dim
-    table = EmbeddingTable(
-        dim=dim,
-        fingerprint=skeleton.embeddings.fingerprint,
-        by_dim={
-            0: z0,
-            1: z1,
-            2: np.array(z2_rows, dtype=np.float32).reshape(n2, dim),
-        },
-    )
     return CellComplex(
         graph=graph,
         cells=tuple(cells),
@@ -429,7 +399,10 @@ def attach_two_cells(skeleton: CellComplex, tree: frozenset[int],
         components=skeleton.components,
         tree_edges=tree,
         policy=policy,
-        embeddings=table,
+        embeddings=np.concatenate([
+            z[:n0 + n1],
+            np.array(z2_rows, dtype=np.float32).reshape(n2, z.shape[1])]),
+        fingerprint=skeleton.fingerprint,
         self_loop_edges=skeleton.self_loop_edges,
     )
 

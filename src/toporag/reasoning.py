@@ -277,19 +277,17 @@ def init_states(sub: Subcomplex, state_dim: int | None = None) -> CellStates:
     cell_ids = sub.all_cells()
     if not cell_ids:
         raise EmptySubcomplex("cannot initialize states for an empty subcomplex")
-    complex = sub.complex
-    dim = complex.embeddings.dim
+    z = sub.complex.embeddings
+    dim = z.shape[1]
     if state_dim is not None and state_dim != dim:
         raise DimensionMismatch(
             f"embedding dim {dim} != configured state dim {state_dim}")
-    rows = []
-    for cid in cell_ids:
-        try:
-            rows.append(complex.vector(cid))
-        except (KeyError, IndexError) as exc:
-            raise ValidationError(f"no embedding stored for cell {cid}") from exc
-    return CellStates(cell_ids=cell_ids, states=np.array(rows, dtype=np.float64),
-                      layer=0)
+    if not 0 <= cell_ids[0] <= cell_ids[-1] < len(z):  # cell_ids is sorted
+        raise ValidationError(
+            f"no embedding stored for cells {cell_ids[0]}..{cell_ids[-1]}: "
+            f"the complex has {len(z)} embedding rows")
+    return CellStates(cell_ids=cell_ids,
+                      states=z[list(cell_ids)].astype(np.float64), layer=0)
 
 
 class _Incidence:

@@ -6,8 +6,7 @@ boundary prizes minus a size cost. A connected, boundary-consistent
 subcomplex maximizing total prize minus size cost is then extracted:
 a Goemans-Williamson-style prize-collecting Steiner approximation over
 the 1-skeleton, followed by staged addition of positive-prize 2-cells
-with exact marginal-objective acceptance. ``brute_force_subcomplex``
-is the exact (exponential) reference for small instances.
+with exact marginal-objective acceptance.
 
 The objective of a selection ``S`` is::
 
@@ -26,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import cosine, embed_texts
-from .errors import EmptyCandidates, TooLarge
+from .embedding import cosine
+from .errors import EmptyCandidates
 from .lifting import CellComplex
 
 PRIZE_INDEXING = ("alg3", "eq14")
@@ -82,11 +81,6 @@ class Subcomplex:
     @property
     def objective(self) -> float:
         return self.total_prize - self.total_cost
-
-
-def encode_query(question: str, provider) -> np.ndarray:
-    """Embed a single question string."""
-    return embed_texts([question], provider)[0]
 
 
 def topk_cells(complex: CellComplex, z_q: np.ndarray, dim: int,
@@ -602,43 +596,6 @@ def solve_subcomplex(complex: CellComplex, assignment: PrizeAssignment,
         for comp in complex.components if not seeds.isdisjoint(comp)
     ]
     return _make_subcomplex(complex, assignment, selections)
-
-
-def brute_force_subcomplex(complex: CellComplex,
-                           assignment: PrizeAssignment) -> Subcomplex:
-    """Exact maximizer by exhaustive enumeration; guard: <= 20 cells.
-
-    Ties broken by smaller cell count, then lexicographic ids.
-    """
-    n = complex.num_cells
-    if n > 20:
-        raise TooLarge(f"{n} cells exceeds the enumeration guard (20)")
-    required = []
-    for cid in range(n):
-        closure = enforce_boundary_consistency(complex, {cid})
-        mask = 0
-        for c in closure:
-            mask |= 1 << c
-        required.append(mask)
-
-    best = None  # (-objective, count, sorted_cells, frozenset)
-    for mask in range(1, 1 << n):
-        cells_list = [c for c in range(n) if mask >> c & 1]
-        req = 0
-        for c in cells_list:
-            req |= required[c]
-        if req != mask:
-            continue
-        cells = frozenset(cells_list)
-        if not is_feasible(complex, cells):
-            continue
-        prize, cost = selection_objective(complex, assignment, cells)
-        key = (-(prize - cost), len(cells_list), tuple(cells_list))
-        if best is None or key < best[0]:
-            best = (key, cells)
-    if best is None:
-        raise EmptyCandidates("no feasible nonempty subcomplex")
-    return _make_subcomplex(complex, assignment, [best[1]])
 
 
 def subcomplex_stats(sub: Subcomplex) -> dict:

@@ -31,7 +31,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .config import PipelineConfig
-from .errors import ProviderRejected, ProviderUnavailable
+from .errors import (IoError, ParseError, ProviderRejected,
+                     ProviderUnavailable, ValidationError)
 from .graph_io import load_graph
 from .pipeline import (answer_question, build_embedding_provider,
                        build_llm_client, check_weights, lift_from_config,
@@ -45,13 +46,28 @@ MAX_BODY_BYTES = 1 << 20  # request bodies are {graph_id, question}
 
 
 def load_manifest(path: str | Path) -> dict[str, str]:
-    """Manifest file: ``{"graphs": {"<graph_id>": "<graph path>"}}``."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    graphs = data.get("graphs")
+    """Manifest file: ``{"graphs": {"<graph_id>": "<graph path>"}}``.
+
+    Relative graph paths are resolved against the manifest's directory.
+    Raises :class:`IoError` on an unreadable file, :class:`ParseError`
+    on malformed JSON or a missing ``graphs`` object, and
+    :class:`ValidationError` on a graph path that is not a string.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise IoError(f"manifest {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # includes JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"{path}: {exc}") from exc
+    graphs = data.get("graphs") if isinstance(data, dict) else None
     if not isinstance(graphs, dict):
-        raise ValueError(f"{path}: expected a 'graphs' object")
+        raise ParseError(f"{path}: expected a 'graphs' object")
+    for gid, p in graphs.items():
+        if not isinstance(p, str):
+            raise ValidationError(
+                f"{path}: graph {gid!r} needs a string path, got {p!r}")
     base = Path(path).parent
-    return {str(gid): str((base / p) if not Path(p).is_absolute() else p)
+    return {gid: str((base / p) if not Path(p).is_absolute() else p)
             for gid, p in graphs.items()}
 
 
@@ -148,8 +164,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"unknown path {self.path}"})
 
     def _read_body(self) -> dict | None:
-        """The request's JSON object with graph_id and question, or None
-        once an error reply has been sent.
+        """The request's JSON object with string graph_id and question, or
+        None once an error reply has been sent.
 
         The length is checked before anything is read: ``rfile.read`` of a
         negative length reads until the client closes the connection.
@@ -171,9 +187,11 @@ class _Handler(BaseHTTPRequestHandler):
             data = json.loads(self.rfile.read(int(raw)).decode("utf-8"))
         except ValueError:  # includes JSONDecodeError, UnicodeDecodeError
             data = None
-        if (not isinstance(data, dict) or "graph_id" not in data
-                or "question" not in data):
-            self._send(422, {"error": "body must be JSON with graph_id and question"})
+        if not (isinstance(data, dict)
+                and isinstance(data.get("graph_id"), str)
+                and isinstance(data.get("question"), str)):
+            self._send(422, {"error": "body must be a JSON object with "
+                                      "string graph_id and question"})
             return None
         return data
 
@@ -184,8 +202,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = self._read_body()
         if body is None:
             return
-        graph_id = str(body["graph_id"])
-        question = str(body["question"])
+        graph_id, question = body["graph_id"], body["question"]
         if graph_id not in self.state.complexes:
             self._send(404, {"error": f"unknown graph_id {graph_id!r}"})
             return

@@ -1,7 +1,8 @@
 """Naive per-cell, per-neighbor reference for the message-passing engine.
 
 Kept independent of the package implementation: plain dict states and
-explicit Python loops straight over the complex's incidence fields.
+explicit Python loops straight over the complex's incidence fields,
+with upper adjacency defined here from the boundary and coboundary.
 Also the sequential weight initializer the chunked, threaded one must
 reproduce bit for bit.
 """
@@ -46,6 +47,19 @@ def _agg(messages, dim, config):
     return total
 
 
+def upper_adjacent(complex, cell_id):
+    """(neighbor, shared coface) pairs: cells of the same dimension
+    incident to a common coface, one pair per shared coface, sorted by
+    coface then neighbor."""
+    pairs = []
+    for cof in complex.coboundary[cell_id]:
+        for w in complex.cells[cof].boundary:
+            if w != cell_id:
+                pairs.append((w, cof))
+    pairs.sort(key=lambda p: (p[1], p[0]))
+    return pairs
+
+
 def naive_forward(sub, weights, config):
     """Returns {cell_id: final state} after stage 1 (L hops) + stage 2."""
     complex = sub.complex
@@ -53,14 +67,7 @@ def naive_forward(sub, weights, config):
     d = config.state_dim
     h = {}
     for cid in sorted(selected):
-        cell = complex.cells[cid]
-        if cell.dim == 0:
-            row = complex.embeddings.by_dim[0][cid]
-        elif cell.dim == 1:
-            row = complex.embeddings.by_dim[1][cid - complex.n0]
-        else:
-            row = complex.embeddings.by_dim[2][cid - complex.n0 - complex.n1]
-        h[cid] = np.asarray(row, dtype=np.float64)
+        h[cid] = np.asarray(complex.embeddings[cid], dtype=np.float64)
 
     kind = config.activation
     for layer in range(config.layers):
@@ -87,7 +94,7 @@ def naive_forward(sub, weights, config):
         cell = complex.cells[cid]
         faces = [b for b in cell.boundary if b in selected]
         cofaces = [c for c in complex.coboundary[cid] if c in selected]
-        uppers = [(w, cof) for w, cof in complex.upper_adjacent(cid)
+        uppers = [(w, cof) for w, cof in upper_adjacent(complex, cid)
                   if w in selected and cof in selected]
         mf = _agg([_affine(weights, "final.face", [h[cid], h[y]], kind)
                    for y in faces], d, config)

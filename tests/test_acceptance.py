@@ -29,13 +29,13 @@ from toporag.lifting import (BFS, DFS, SpanningTreePolicy, attach_two_cells,
                              spanning_tree, verify_cycle_basis)
 from toporag.pipeline import retrieve_for_question
 from toporag.reasoning import ReasoningConfig, ReasoningWeights, forward, pool
-from toporag.retrieval import (assign_prizes, brute_force_subcomplex,
-                               is_feasible, retrieve_subcomplex,
+from toporag.retrieval import (assign_prizes, is_feasible, retrieve_subcomplex,
                                solve_subcomplex, subcomplex_to_dict,
                                topk_cells, topk_two_cells)
 from toporag.service import make_server
 
 from helpers import FIXTURES, lift, make_graph, random_connected_graph
+from reference_pcst import brute_force_subcomplex
 from reference_reasoning import naive_forward
 
 POLICIES = [DFS, BFS, SpanningTreePolicy("random", seed=17)]
@@ -268,18 +268,15 @@ def test_c07_reasoning_engine_properties():
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     cx = lift(g, dim=16)
     from toporag.reasoning import init_states, stage1_pass
-    from toporag.embedding import EmbeddingTable
 
     def run(complex):
         sub = tr.full_subcomplex(complex)
         return stage1_pass(init_states(sub, state_dim=16), sub, iweights, icfg)
 
     base = run(cx)
-    z0 = cx.embeddings.by_dim[0].copy()
-    z0[4] += 2.0
-    moved = run(dataclasses.replace(cx, embeddings=EmbeddingTable(
-        dim=16, fingerprint="p",
-        by_dim={0: z0, 1: cx.embeddings.by_dim[1], 2: cx.embeddings.by_dim[2]})))
+    z = cx.embeddings.copy()
+    z[4] += 2.0
+    moved = run(dataclasses.replace(cx, embeddings=z))
     assert np.array_equal(base.state(0), moved.state(0))  # 8 hops away
     assert np.array_equal(base.state(1), moved.state(1))  # 6 hops away
     assert np.array_equal(base.state(2), moved.state(2))  # 4 hops away

@@ -82,8 +82,8 @@ def test_retrieve_matches_bruteforce_oracle(capsys, small_cfg, triangle_path):
     from toporag.config import load_config
     from toporag.embedding import DeterministicProvider, embed_texts
     from toporag.pipeline import lift_from_config
-    from toporag.retrieval import (assign_prizes, brute_force_subcomplex,
-                                   topk_cells)
+    from toporag.retrieval import assign_prizes, topk_cells
+    from reference_pcst import brute_force_subcomplex
 
     question = "node 0 edge 0 1"
     assert main(["retrieve", triangle_path, "--question", question,
@@ -302,3 +302,19 @@ def test_answer_accepts_weight_file_with_other_seed(tmp_path, capsys,
     assert main(["answer", triangle_path, "--question", "which node?",
                  "--config", str(cfg_path), "--mock-llm", "echo"]) == 0
     assert capsys.readouterr().out.strip() == "which node?"
+
+
+@pytest.mark.parametrize("content,message", [
+    ({"other": {}}, "'graphs' object"),
+    ({"graphs": {"tri": 5}}, "string path"),
+    (None, "manifest"),  # no manifest file at all
+], ids=["no-graphs-object", "non-string-path", "missing-file"])
+def test_bad_manifest_is_validation_error(tmp_path, capsys, small_cfg,
+                                          content, message):
+    manifest = tmp_path / "manifest.json"
+    if content is not None:
+        manifest.write_text(json.dumps(content))
+    assert main(["serve", "--manifest", str(manifest), "--config", small_cfg,
+                 "--port", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

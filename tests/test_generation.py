@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -79,8 +80,10 @@ def test_textualize_uses_original_ids(tmp_path):
 def test_dangling_cell_detected():
     sub = scene_loop_subcomplex()
     smaller = lift(triangle()).graph
+    sub = dataclasses.replace(
+        sub, complex=dataclasses.replace(sub.complex, graph=smaller))
     with pytest.raises(DanglingCell):
-        textualize(sub, graph=smaller)
+        textualize(sub)
 
 
 # --- prompt assembly ---

@@ -3,14 +3,17 @@ import random
 import numpy as np
 import pytest
 
+from toporag.embedding import DeterministicProvider, embed_texts
 from toporag.errors import SelfLoopExcluded
 from toporag.lifting import (BFS, DFS, SpanningTreePolicy,
-                             aggregate_cycle_embedding, betti1,
-                             connected_components, find_fundamental_cycle,
-                             gf2_rank, spanning_tree, verify_cycle_basis)
+                             aggregate_cycle_embedding, attach_two_cells,
+                             betti1, connected_components,
+                             find_fundamental_cycle, gf2_rank, lift_graph,
+                             spanning_tree, verify_cycle_basis)
 
 from helpers import (k4, lift, make_graph, path3, random_connected_graph,
                      triangle, two_triangles)
+from reference_reasoning import upper_adjacent
 
 POLICIES = [DFS, BFS, SpanningTreePolicy("random", seed=11)]
 
@@ -232,10 +235,10 @@ def test_upper_adjacency_via_shared_coface():
     cx = lift(triangle())
     two_cell = cx.cell_ids(2)[0]
     for ecid in cx.cells[two_cell].boundary:
-        partners = [w for w, cof in cx.upper_adjacent(ecid) if cof == two_cell]
+        partners = [w for w, cof in upper_adjacent(cx, ecid) if cof == two_cell]
         assert len(partners) == 2  # the other two edges of the triangle
     # 0-cells are upper-adjacent through their shared 1-cells
-    assert [(w, cx.cells[cof].dim) for w, cof in cx.upper_adjacent(0)] == \
+    assert [(w, cx.cells[cof].dim) for w, cof in upper_adjacent(cx, 0)] == \
         [(1, 1), (2, 1)]
 
 
@@ -290,6 +293,34 @@ def test_aggregate_max_mode():
     z1 = np.array([[0.0, 5.0]], dtype=np.float32)
     out = aggregate_cycle_embedding(([0, 0], [0]), z0, z1, mode="max")
     assert np.allclose(out, [1.0, 5.0])
+
+
+def test_embedding_rows_follow_cell_ids():
+    g = make_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (1, 3),
+                       (3, 3)])
+    provider = DeterministicProvider(dim=16, seed=7)
+    node_vecs = embed_texts([n.text for n in g.nodes], provider)
+    edge_vecs = embed_texts([e.text for e in g.edges], provider)
+    z0, z1 = np.array(node_vecs), np.array(edge_vecs)
+    for policy in (DFS, BFS, SpanningTreePolicy("random", seed=3)):
+        cx = lift_graph(g, node_vecs, edge_vecs, policy=policy)
+        z, n0, n1 = cx.embeddings, cx.n0, cx.n1
+        assert z.dtype == np.float32 and z.shape == (cx.num_cells, 16)
+        assert z.flags.c_contiguous
+        assert np.array_equal(z[:n0], z0)
+        assert np.array_equal(z[n0:n0 + n1], z1)
+        assert cx.n2 == 3
+        for cid in cx.cell_ids(2):
+            walk = cx.cells[cid].walk
+            cycle = ([v for v, _ in walk] + [walk[0][0]],
+                     [cx.edge_index(e) for _, e in walk])
+            assert np.array_equal(z[cid], aggregate_cycle_embedding(cycle, z0, z1))
+        for cid in range(cx.num_cells):
+            assert np.array_equal(cx.vector(cid), z[cid])
+        # re-attaching over a complex that already has 2-cells pools from
+        # its 0- and 1-cell rows only
+        again = attach_two_cells(cx, cx.tree_edges, policy=policy)
+        assert np.array_equal(again.embeddings, z)
 
 
 # --- homology counting ---

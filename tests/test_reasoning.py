@@ -7,14 +7,14 @@ import pytest
 from toporag import reasoning
 from toporag.errors import DimensionMismatch, EmptySubcomplex, ValidationError
 from toporag.lifting import BFS, DFS, CellComplex, SpanningTreePolicy
-from toporag.embedding import EmbeddingTable
 from toporag.reasoning import (CellStates, ReasoningConfig, ReasoningWeights,
                                _linear, forward, init_states, pool, project,
                                stage1_pass, stage2_pass)
 from toporag.retrieval import Subcomplex
 
 from helpers import k4, lift, make_graph, random_connected_graph, triangle
-from reference_reasoning import naive_forward, sequential_initialize
+from reference_reasoning import (naive_forward, sequential_initialize,
+                                 upper_adjacent)
 
 D = 16
 
@@ -57,11 +57,7 @@ def test_init_states_dim_mismatch():
 
 def test_init_states_missing_embedding_errors():
     cx = lift(triangle(), dim=D)
-    stripped = EmbeddingTable(dim=D, fingerprint="x", by_dim={
-        0: cx.embeddings.by_dim[0],
-        1: cx.embeddings.by_dim[1],
-        2: cx.embeddings.by_dim[2][:0],  # drop the 2-cell embedding
-    })
+    stripped = cx.embeddings[:cx.n0 + cx.n1]  # drop the 2-cell embedding
     import dataclasses
     broken = dataclasses.replace(cx, embeddings=stripped)
     with pytest.raises(ValidationError):
@@ -97,11 +93,9 @@ def test_stage1_locality_on_path_graph():
     base = run(cx)
 
     import dataclasses
-    z0 = cx.embeddings.by_dim[0].copy()
-    z0[3] = z0[3] + 1.5
-    perturbed_cx = dataclasses.replace(
-        cx, embeddings=EmbeddingTable(dim=D, fingerprint="p", by_dim={
-            0: z0, 1: cx.embeddings.by_dim[1], 2: cx.embeddings.by_dim[2]}))
+    z = cx.embeddings.copy()
+    z[3] = z[3] + 1.5
+    perturbed_cx = dataclasses.replace(cx, embeddings=z)
     moved = run(perturbed_cx)
 
     # node 0 is 5 incidence hops from node 3: unchanged, exactly
@@ -206,7 +200,7 @@ def test_forward_matches_naive_reference_on_partial_selections(activation,
         inc = reasoning._Incidence(sub)
         assert [tuple(sub.all_cells()[i] for i in row) for row in inc.upper] == [
             (x, w, c) for x in sub.all_cells()
-            for w, c in cx.upper_adjacent(x) if w in selected and c in selected]
+            for w, c in upper_adjacent(cx, x) if w in selected and c in selected]
         cfg = config(layers=rng.randrange(1, 4), activation=activation,
                      aggregation=aggregation, seed=trial)
         weights = ReasoningWeights.initialize(cfg)
@@ -252,22 +246,14 @@ def permute_complex(cx: CellComplex, rng: random.Random) -> tuple[CellComplex, d
     coboundary = [tuple()] * cx.num_cells
     for cid in range(cx.num_cells):
         coboundary[mapping[cid]] = tuple(mapping[c] for c in cx.coboundary[cid])
-    z = cx.embeddings
-    z0 = np.empty_like(z.by_dim[0])
-    z1 = np.empty_like(z.by_dim[1])
-    z2 = np.empty_like(z.by_dim[2])
-    for v in range(cx.n0):
-        z0[p0[v]] = z.by_dim[0][v]
-    for i in range(cx.n1):
-        z1[p1[i]] = z.by_dim[1][i]
-    for j in range(cx.n2):
-        z2[p2[j]] = z.by_dim[2][j]
+    z = np.empty_like(cx.embeddings)
+    for cid in range(cx.num_cells):
+        z[mapping[cid]] = cx.embeddings[cid]
     permuted = dataclasses.replace(
         cx,
         cells=tuple(new_cells),
         coboundary=tuple(coboundary),
-        embeddings=EmbeddingTable(dim=z.dim, fingerprint=z.fingerprint,
-                                  by_dim={0: z0, 1: z1, 2: z2}),
+        embeddings=z,
     )
     return permuted, mapping
 

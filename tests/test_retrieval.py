@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toporag.embedding import DeterministicProvider, cosine
+from toporag.embedding import DeterministicProvider, cosine, embed_texts
 from toporag.errors import EmptyCandidates, TooLarge
 from toporag.lifting import connected_components
-from toporag.retrieval import (assign_prizes, brute_force_subcomplex,
-                               encode_query, enforce_boundary_consistency,
+from toporag.retrieval import (assign_prizes, enforce_boundary_consistency,
                                is_feasible, retrieve_subcomplex,
                                selection_objective, solve_subcomplex,
                                subcomplex_stats, subcomplex_to_dict,
@@ -18,6 +17,7 @@ from toporag.retrieval import (assign_prizes, brute_force_subcomplex,
 
 from helpers import (lift, make_graph, random_connected_graph, triangle,
                      two_triangles)
+from reference_pcst import brute_force_subcomplex
 
 
 def ranked_of(cells_with_sims):
@@ -27,13 +27,13 @@ def ranked_of(cells_with_sims):
 # --- query encoding ---
 
 def test_encode_query_stable(provider):
-    a = encode_query("what holds the vase", provider)
-    b = encode_query("what holds the vase", provider)
+    a = embed_texts(["what holds the vase"], provider)[0]
+    b = embed_texts(["what holds the vase"], provider)[0]
     assert np.array_equal(a, b)
 
 
 def test_encode_empty_question_ok(provider):
-    v = encode_query("", provider)
+    v = embed_texts([""], provider)[0]
     assert v.shape == (provider.dim,)
 
 
@@ -49,13 +49,13 @@ def test_dim_mismatch_at_retrieval_time():
 
 def test_topk_zero_returns_empty(provider):
     cx = lift(triangle())
-    z_q = encode_query("q", provider)
+    z_q = embed_texts(["q"], provider)[0]
     assert topk_cells(cx, z_q, 0, 0) == []
 
 
 def test_topk_saturates(provider):
     cx = lift(triangle())
-    z_q = encode_query("anything", provider)
+    z_q = embed_texts(["anything"], provider)[0]
     ranked = topk_cells(cx, z_q, 0, 99)
     assert [cid for cid, _ in ranked] == sorted(
         range(3), key=lambda c: (-cosine(cx.vector(c), z_q), c))
@@ -89,15 +89,11 @@ def test_topk_tiebreak_ascending_id():
 
 def test_topk_invariant_under_uniform_scaling(provider):
     import dataclasses
-    from toporag.embedding import EmbeddingTable
     rng = random.Random(14)
     g = random_connected_graph(rng, 20, 40)
     cx = lift(g)
-    z = cx.embeddings
-    scaled = dataclasses.replace(cx, embeddings=EmbeddingTable(
-        dim=z.dim, fingerprint=z.fingerprint,
-        by_dim={d: 3.0 * arr for d, arr in z.by_dim.items()}))
-    z_q = encode_query("node 7 edge 3", provider)
+    scaled = dataclasses.replace(cx, embeddings=3.0 * cx.embeddings)
+    z_q = embed_texts(["node 7 edge 3"], provider)[0]
     for dim in (0, 1):
         base = [cid for cid, _ in topk_cells(cx, z_q, dim, 5)]
         after = [cid for cid, _ in topk_cells(scaled, z_q, dim, 5)]
@@ -470,7 +466,7 @@ def test_retrieve_k2_zero_matches_skeleton_only_path(provider):
     rng = random.Random(7)
     g = random_connected_graph(rng, 12, 25)
     cx = lift(g)
-    z_q = encode_query("node 3 edge 1 4", provider)
+    z_q = embed_texts(["node 3 edge 1 4"], provider)[0]
     via_k2 = retrieve_subcomplex(cx, z_q, k0=3, k1=3, k2=0, c2=0.25)
     ranked0 = topk_cells(cx, z_q, 0, 3)
     ranked1 = topk_cells(cx, z_q, 1, 3)
@@ -483,7 +479,7 @@ def test_retrieve_k2_zero_matches_skeleton_only_path(provider):
 
 def test_retrieve_deterministic(provider):
     cx = lift(triangle())
-    z_q = encode_query("node 0", provider)
+    z_q = embed_texts(["node 0"], provider)[0]
     s1 = retrieve_subcomplex(cx, z_q, 3, 3, 2, 0.25)
     s2 = retrieve_subcomplex(cx, z_q, 3, 3, 2, 0.25)
     assert subcomplex_to_dict(s1) == subcomplex_to_dict(s2)

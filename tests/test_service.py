@@ -92,6 +92,13 @@ def test_malformed_body_422(service):
     resp = requests.post(f"{service}/v1/retrieve", json={"graph_id": "scene"},
                          timeout=5)
     assert resp.status_code == 422
+    # both fields must be JSON strings: no str() of a list or a number
+    for body in ({"graph_id": "scene", "question": ["a"]},
+                 {"graph_id": "scene", "question": 5},
+                 {"graph_id": ["scene"], "question": "where is the vase"}):
+        for path in ("/v1/retrieve", "/v1/answer"):
+            resp = requests.post(f"{service}{path}", json=body, timeout=5)
+            assert resp.status_code == 422, (path, body)
 
 
 def test_provider_down_503(tmp_path, monkeypatch):
