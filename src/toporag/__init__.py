@@ -17,8 +17,7 @@ from .generation import (ChatCompletionsClient, GenerationResult, MockLlmClient,
 from .graph_io import (Edge, Node, QaExample, TextualGraph, load_graph,
                        load_qa_fixture, save_graph)
 from .lifting import (BFS, DFS, Cell, CellComplex, CycleBasisReport,
-                      SpanningTreePolicy, aggregate_cycle_embedding,
-                      attach_two_cells, betti1, build_skeleton,
+                      SpanningTreePolicy, aggregate_cycle_embedding, betti1,
                       find_fundamental_cycle, lift_graph, spanning_tree,
                       verify_cycle_basis)
 from .pipeline import answer_question, lift_from_config, retrieve_for_question

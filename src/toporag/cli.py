@@ -1,7 +1,7 @@
 """Command-line entry points: lift, stats, retrieve, answer, eval, serve.
 
-Exit codes: 0 success, 2 validation/parse errors, 3 provider errors,
-4 internal errors.
+Exit codes: 0 success, 3 provider errors, 2 any other package error
+(bad input, parse or I/O failures), 4 internal errors.
 """
 
 from __future__ import annotations
@@ -29,12 +29,6 @@ EXIT_VALIDATION = 2
 EXIT_PROVIDER = 3
 EXIT_INTERNAL = 4
 
-_VALIDATION_ERRORS = (
-    errors.ParseError, errors.ValidationError, errors.MissingGraphError,
-    errors.IoError, errors.DimensionMismatch, errors.ZeroVector,
-    errors.DanglingCell, errors.CacheCorrupt, errors.TooLarge,
-    errors.SelfLoopExcluded, errors.EmptySubcomplex, errors.EmptyCandidates,
-)
 _PROVIDER_ERRORS = (errors.ProviderUnavailable, errors.ProviderRejected)
 
 
@@ -70,7 +64,7 @@ def _complex_dump(complex, report, cache: str = "") -> dict:
         "rank_gf2": report.rank_gf2,
         "independent": report.independent,
         "spans": report.spans,
-        "policy": str(complex.policy) if complex.policy else None,
+        "policy": str(complex.policy),
         "tree_edges": sorted(complex.tree_edges),
         "cells": {
             "1": [{"id": c.id, "boundary": list(c.boundary)}
@@ -244,12 +238,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except _PROVIDER_ERRORS as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
+    except errors.ToporagError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

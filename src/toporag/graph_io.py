@@ -102,6 +102,14 @@ def _compact(raw_nodes: list[tuple[int, str]], raw_edges: list[tuple[int, int, s
     )
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` if it has JSON type ``kind`` (an int is never a bool),
+    else :class:`ParseError`."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _load_json_graph(path: Path) -> TextualGraph:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -109,15 +117,19 @@ def _load_json_graph(path: Path) -> TextualGraph:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
         raise ParseError(f"{path}: expected object with 'nodes' and 'edges'")
+    directed = _typed(data.get("directed", False), bool, f"{path}: directed")
     raw_nodes, raw_edges = [], []
     try:
         for entry in data["nodes"]:
-            raw_nodes.append((int(entry["id"]), str(entry["text"])))
+            raw_nodes.append((_typed(entry["id"], int, "id"),
+                              _typed(entry["text"], str, "text")))
         for entry in data["edges"]:
-            raw_edges.append((int(entry["src"]), int(entry["dst"]), str(entry["text"])))
-    except (KeyError, TypeError, ValueError) as exc:
+            raw_edges.append((_typed(entry["src"], int, "src"),
+                              _typed(entry["dst"], int, "dst"),
+                              _typed(entry["text"], str, "text")))
+    except (KeyError, TypeError, ParseError) as exc:
         raise ParseError(f"{path}: malformed node/edge entry: {exc}") from exc
-    return _compact(raw_nodes, raw_edges, bool(data.get("directed", False)))
+    return _compact(raw_nodes, raw_edges, directed)
 
 
 def _load_csv_pair(directory: Path) -> TextualGraph:
@@ -152,8 +164,9 @@ def load_graph(path: str | Path, format: str | None = None) -> TextualGraph:
 
     ``format`` is ``"json"`` or ``"csv-pair"``; when omitted it is
     inferred (a directory means csv-pair). Raises :class:`ParseError`
-    on malformed files and :class:`ValidationError` on dangling edge
-    endpoints or duplicate node ids.
+    on malformed files or JSON values of the wrong type, and
+    :class:`ValidationError` on dangling edge endpoints or duplicate
+    node ids.
     """
     path = Path(path)
     if not path.exists():
@@ -213,11 +226,12 @@ def load_qa_fixture(path: str | Path) -> list[QaExample]:
             continue
         try:
             record = json.loads(line)
-            idx = int(record["idx"])
-            question = str(record["question"])
-            answers = tuple(str(a) for a in record["answers"])
-            graph_rel = record["graph"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            idx = _typed(record["idx"], int, "idx")
+            question = _typed(record["question"], str, "question")
+            answers = tuple(_typed(a, str, "answer")
+                            for a in _typed(record["answers"], list, "answers"))
+            graph_rel = _typed(record["graph"], str, "graph")
+        except (json.JSONDecodeError, KeyError, TypeError, ParseError) as exc:
             raise ParseError(f"{questions}:{lineno}: {exc}") from exc
         if not question:
             raise ValidationError(f"{questions}:{lineno}: empty question")

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, SelfLoopExcluded, ValidationError
-from .graph_io import TextualGraph
+from .graph_io import Edge, TextualGraph
 
 logger = logging.getLogger(__name__)
 
@@ -78,9 +78,10 @@ class CellComplex:
     ``coboundary[c]`` lists the cofaces of cell ``c`` in ascending id;
     for a vertex these are its 1-cells, a self-loop once. ``components``
     holds the sorted vertex ids of each connected component of the
-    graph, found once when the skeleton is built. ``embeddings`` is a
-    float32 ``(num_cells, d)`` matrix whose row ``c`` is cell ``c``'s
-    vector; ``fingerprint`` names the provider that embedded the texts.
+    graph, found by the traversal that grows the spanning forest.
+    ``embeddings`` is a float32 ``(num_cells, d)`` matrix whose row
+    ``c`` is cell ``c``'s vector; ``fingerprint`` names the provider
+    that embedded the texts.
     """
 
     graph: TextualGraph
@@ -91,10 +92,9 @@ class CellComplex:
     coboundary: tuple[tuple[int, ...], ...]
     components: tuple[tuple[int, ...], ...]
     tree_edges: frozenset[int]
-    policy: SpanningTreePolicy | None
+    policy: SpanningTreePolicy
     embeddings: np.ndarray
     fingerprint: str = ""
-    self_loop_edges: frozenset[int] = field(default_factory=frozenset)
 
     @property
     def num_cells(self) -> int:
@@ -168,52 +168,61 @@ def connected_components(graph: TextualGraph) -> list[list[int]]:
     return [sorted(comp) for comp in _bfs_forest(_adjacency(graph))[3]]
 
 
-def build_skeleton(graph: TextualGraph, node_vecs: list[np.ndarray],
-                   edge_vecs: list[np.ndarray],
-                   fingerprint: str = "") -> CellComplex:
-    """Build the 1-skeleton: one 0-cell per node, one 1-cell per edge."""
-    if len(node_vecs) != graph.num_nodes:
-        raise ValidationError(
-            f"need {graph.num_nodes} node vectors, got {len(node_vecs)}")
-    if len(edge_vecs) != graph.num_edges:
-        raise ValidationError(
-            f"need {graph.num_edges} edge vectors, got {len(edge_vecs)}")
-    dims = {v.shape for v in node_vecs} | {v.shape for v in edge_vecs}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"mixed embedding shapes: {sorted(dims)}")
+def _rooted_forest(graph: TextualGraph, policy: SpanningTreePolicy):
+    """The forest :func:`spanning_tree` describes, rooted as it is grown.
 
-    n0, n1 = graph.num_nodes, graph.num_edges
-    cells = [Cell(id=v, dim=0) for v in range(n0)]
-    self_loops = set()
-    for idx, edge in enumerate(graph.edges):
-        if edge.src == edge.dst:
-            self_loops.add(idx)
-            boundary = (edge.src,)
-        else:
-            boundary = (edge.src, edge.dst)
-        cells.append(Cell(id=n0 + idx, dim=1, boundary=boundary))
+    Returns ``_bfs_forest``'s tuple, each tree rooted at its smallest
+    vertex: DFS records parent, edge and depth as it discovers each
+    vertex, and random roots its Kruskal forest by one BFS over the
+    tree edges.
+    """
+    if policy.kind == "random":
+        order = list(range(graph.num_edges))
+        random.Random(policy.seed).shuffle(order)
+        root = list(range(graph.num_nodes))
 
-    coboundary = [[] for _ in range(n0 + n1)]
-    for idx, edge in enumerate(graph.edges):
-        cid = n0 + idx
-        coboundary[edge.src].append(cid)
-        if edge.dst != edge.src:
-            coboundary[edge.dst].append(cid)
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
 
-    dim = dims.pop()[0] if dims else 0
-    return CellComplex(
-        graph=graph,
-        cells=tuple(cells),
-        n0=n0, n1=n1, n2=0,
-        coboundary=tuple(tuple(c) for c in coboundary),
-        components=tuple(tuple(c) for c in connected_components(graph)),
-        tree_edges=frozenset(),
-        policy=None,
-        embeddings=np.array([*node_vecs, *edge_vecs],
-                            dtype=np.float32).reshape(n0 + n1, dim),
-        fingerprint=fingerprint,
-        self_loop_edges=frozenset(self_loops),
-    )
+        tree = set()
+        for idx in order:
+            edge = graph.edges[idx]
+            ru, rv = find(edge.src), find(edge.dst)
+            if ru != rv:
+                root[ru] = rv
+                tree.add(idx)
+        return _bfs_forest(_adjacency(graph, edge_filter=tree))
+
+    adj = _adjacency(graph)
+    if policy.kind == "bfs":
+        return _bfs_forest(adj)
+    n = len(adj)
+    parent, parent_edge, depth = [-1] * n, [-1] * n, [0] * n
+    seen = [False] * n
+    components = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        stack = [(start, iter(adj[start]))]
+        while stack:
+            v, neighbors = stack[-1]
+            for idx, w in neighbors:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w], parent_edge[w] = v, idx
+                    depth[w] = depth[v] + 1
+                    comp.append(w)
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+        components.append(comp)
+    return parent, parent_edge, depth, components
 
 
 def spanning_tree(graph: TextualGraph,
@@ -225,88 +234,42 @@ def spanning_tree(graph: TextualGraph,
     the policy seed and runs Kruskal. Self-loops never enter the
     forest. Always ``|T| == |V| - #components``.
     """
-    n = graph.num_nodes
-    tree: set[int] = set()
-    if policy.kind == "random":
-        order = list(range(graph.num_edges))
-        random.Random(policy.seed).shuffle(order)
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for idx in order:
-            edge = graph.edges[idx]
-            ru, rv = find(edge.src), find(edge.dst)
-            if ru != rv:
-                parent[ru] = rv
-                tree.add(idx)
-        return frozenset(tree)
-
-    adj = _adjacency(graph)
-    if policy.kind == "bfs":
-        return frozenset(idx for idx in _bfs_forest(adj)[1] if idx != -1)
-    seen = [False] * n
-    for root in range(n):  # dfs, recursion order over adjacency lists
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            _, neighbors = stack[-1]
-            for idx, w in neighbors:
-                if not seen[w]:
-                    seen[w] = True
-                    tree.add(idx)
-                    stack.append((w, iter(adj[w])))
-                    break
-            else:
-                stack.pop()
-    return frozenset(tree)
+    return frozenset(idx for idx in _rooted_forest(graph, policy)[1] if idx != -1)
 
 
-class _RootedForest:
-    """Spanning forest rooted per component, for O(path) tree paths."""
-
-    def __init__(self, graph: TextualGraph, tree: frozenset[int]):
-        self.parent, self.parent_edge, self.depth, _ = _bfs_forest(
-            _adjacency(graph, edge_filter=tree))
-
-    def path(self, start: int, goal: int) -> tuple[list[int], list[int]]:
-        """Unique forest path from start to goal: (vertices, edges)."""
-        up_a, edges_a = [start], []
-        up_b, edges_b = [goal], []
-        a, b = start, goal
-        while self.depth[a] > self.depth[b]:
-            edges_a.append(self.parent_edge[a])
-            a = self.parent[a]
-            up_a.append(a)
-        while self.depth[b] > self.depth[a]:
-            edges_b.append(self.parent_edge[b])
-            b = self.parent[b]
-            up_b.append(b)
-        while a != b:
-            if self.parent[a] == -1:
-                raise ValidationError(
-                    f"vertices {start} and {goal} are in different components")
-            edges_a.append(self.parent_edge[a])
-            a = self.parent[a]
-            up_a.append(a)
-            edges_b.append(self.parent_edge[b])
-            b = self.parent[b]
-            up_b.append(b)
-        vertices = up_a + up_b[-2::-1]
-        edges = edges_a + edges_b[::-1]
-        return vertices, edges
+def _fundamental_cycle(forest, edge_index: int,
+                       edge: Edge) -> tuple[list[int], list[int]]:
+    """Path in a rooted forest from the smaller endpoint of a non-tree
+    edge to the other, closed by that edge: (vertices, edges)."""
+    parent, parent_edge, depth = forest[:3]
+    start, goal = min(edge.src, edge.dst), max(edge.src, edge.dst)
+    up_a, edges_a = [start], []
+    up_b, edges_b = [goal], []
+    a, b = start, goal
+    while depth[a] > depth[b]:
+        edges_a.append(parent_edge[a])
+        a = parent[a]
+        up_a.append(a)
+    while depth[b] > depth[a]:
+        edges_b.append(parent_edge[b])
+        b = parent[b]
+        up_b.append(b)
+    while a != b:
+        if parent[a] == -1:
+            raise ValidationError(
+                f"vertices {start} and {goal} are in different components")
+        edges_a.append(parent_edge[a])
+        a = parent[a]
+        up_a.append(a)
+        edges_b.append(parent_edge[b])
+        b = parent[b]
+        up_b.append(b)
+    return (up_a + up_b[-2::-1] + [start],
+            edges_a + edges_b[::-1] + [edge_index])
 
 
 def find_fundamental_cycle(graph: TextualGraph, edge_index: int,
-                           tree: frozenset[int],
-                           forest: _RootedForest | None = None,
-                           ) -> tuple[list[int], list[int]]:
+                           tree: frozenset[int]) -> tuple[list[int], list[int]]:
     """Closed cycle induced by a non-tree edge: tree path plus the edge.
 
     Returns ``(vertices, edges)`` where ``vertices[0] == vertices[-1]``
@@ -319,22 +282,15 @@ def find_fundamental_cycle(graph: TextualGraph, edge_index: int,
     if edge.src == edge.dst:
         raise SelfLoopExcluded(
             f"self-loop edge {edge_index} at vertex {edge.src} induces no 2-cell")
-    if forest is None:
-        forest = _RootedForest(graph, tree)
-    start, other = min(edge.src, edge.dst), max(edge.src, edge.dst)
-    vertices, edges = forest.path(start, other)
-    vertices.append(start)
-    edges.append(edge_index)
-    return vertices, edges
+    forest = _bfs_forest(_adjacency(graph, edge_filter=tree))
+    return _fundamental_cycle(forest, edge_index, edge)
 
 
 def aggregate_cycle_embedding(cycle: tuple[list[int], list[int]],
-                              z0: np.ndarray, z1: np.ndarray,
-                              mode: str = "mean") -> np.ndarray:
-    """Pool the 0- and 1-cell embeddings around a cycle into one vector.
+                              z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
+    """Mean of the 0- and 1-cell embeddings around a cycle.
 
-    ``z0``/``z1`` are the per-node and per-edge embedding matrices;
-    ``mode`` is ``"mean"`` or ``"max"``.
+    ``z0``/``z1`` are the per-node and per-edge embedding matrices.
     """
     vertices, edges = cycle
     members = [z0[v] for v in vertices[:-1]] + [z1[e] for e in edges]
@@ -343,78 +299,73 @@ def aggregate_cycle_embedding(cycle: tuple[list[int], list[int]],
     stack = np.array(members, dtype=np.float64)
     if stack.ndim != 2:
         raise DimensionMismatch("cycle members have mixed dimensions")
-    if mode == "mean":
-        pooled = stack.mean(axis=0)
-    elif mode == "max":
-        pooled = stack.max(axis=0)
-    else:
-        raise ValueError(f"unknown aggregation mode {mode!r}")
-    return pooled.astype(np.float32)
-
-
-def attach_two_cells(skeleton: CellComplex, tree: frozenset[int],
-                     policy: SpanningTreePolicy | None = None) -> CellComplex:
-    """Attach one 2-cell per non-tree, non-self-loop edge.
-
-    2-cell embeddings are pooled from the boundary cycle's 0/1-cell
-    embeddings. Self-loops are logged and skipped: a one-edge cycle
-    cannot bound a regular disk.
-    """
-    graph = skeleton.graph
-    n0, n1 = skeleton.n0, skeleton.n1
-    cells = list(skeleton.cells[:n0 + n1])
-    coboundary = [list(c) for c in skeleton.coboundary[:n0 + n1]]
-
-    z = skeleton.embeddings
-    z0, z1 = z[:n0], z[n0:n0 + n1]
-    z2_rows = []
-    next_id = n0 + n1
-    forest = _RootedForest(graph, tree)
-    for idx in range(graph.num_edges):
-        if idx in tree:
-            continue
-        if idx in skeleton.self_loop_edges:
-            logger.warning("self-loop edge %d excluded from 2-cell attachment", idx)
-            continue
-        vertices, edges = find_fundamental_cycle(graph, idx, tree, forest=forest)
-        walk = tuple(
-            (vertices[i], skeleton.one_cell_id(edges[i]))
-            for i in range(len(edges))
-        )
-        boundary = tuple(skeleton.one_cell_id(e) for e in edges)
-        cells.append(Cell(id=next_id, dim=2, boundary=boundary, walk=walk))
-        for ecid in boundary:
-            coboundary[ecid].append(next_id)
-        z2_rows.append(aggregate_cycle_embedding((vertices, edges), z0, z1))
-        next_id += 1
-
-    n2 = next_id - n0 - n1
-    coboundary.extend([] for _ in range(n2))
-
-    return CellComplex(
-        graph=graph,
-        cells=tuple(cells),
-        n0=n0, n1=n1, n2=n2,
-        coboundary=tuple(tuple(c) for c in coboundary),
-        components=skeleton.components,
-        tree_edges=tree,
-        policy=policy,
-        embeddings=np.concatenate([
-            z[:n0 + n1],
-            np.array(z2_rows, dtype=np.float32).reshape(n2, z.shape[1])]),
-        fingerprint=skeleton.fingerprint,
-        self_loop_edges=skeleton.self_loop_edges,
-    )
+    return stack.mean(axis=0).astype(np.float32)
 
 
 def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
                edge_vecs: list[np.ndarray],
                policy: SpanningTreePolicy = DFS,
                fingerprint: str = "") -> CellComplex:
-    """Full lifting: skeleton, spanning forest, 2-cell attachment."""
-    skeleton = build_skeleton(graph, node_vecs, edge_vecs, fingerprint=fingerprint)
-    tree = spanning_tree(graph, policy)
-    return attach_two_cells(skeleton, tree, policy=policy)
+    """Lift ``graph`` into a cell complex.
+
+    One 0-cell per node, one 1-cell per edge, and one 2-cell per
+    non-tree, non-self-loop edge of the forest ``policy`` grows, glued
+    along its fundamental cycle. 2-cell embeddings are the mean of the
+    cycle's 0/1-cell embeddings. Self-loops are logged and skipped: a
+    one-edge cycle cannot bound a regular disk.
+    """
+    if len(node_vecs) != graph.num_nodes:
+        raise ValidationError(
+            f"need {graph.num_nodes} node vectors, got {len(node_vecs)}")
+    if len(edge_vecs) != graph.num_edges:
+        raise ValidationError(
+            f"need {graph.num_edges} edge vectors, got {len(edge_vecs)}")
+    dims = {v.shape for v in node_vecs} | {v.shape for v in edge_vecs}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"mixed embedding shapes: {sorted(dims)}")
+
+    n0, n1 = graph.num_nodes, graph.num_edges
+    forest = _rooted_forest(graph, policy)
+    tree = frozenset(idx for idx in forest[1] if idx != -1)
+    # every non-loop edge outside the forest (which holds no loop) is a 2-cell
+    n2 = sum(edge.src != edge.dst for edge in graph.edges) - len(tree)
+    z = np.empty((n0 + n1 + n2, dims.pop()[0] if dims else 0), dtype=np.float32)
+    z[:n0 + n1] = np.array([*node_vecs, *edge_vecs],
+                           dtype=np.float32).reshape(n0 + n1, z.shape[1])
+    z0, z1 = z[:n0], z[n0:n0 + n1]
+    cells = [Cell(id=v, dim=0) for v in range(n0)]
+    two_cells = []
+    coboundary = [[] for _ in range(n0 + n1 + n2)]
+    for idx, edge in enumerate(graph.edges):
+        boundary = (edge.src,) if edge.src == edge.dst else (edge.src, edge.dst)
+        cells.append(Cell(id=n0 + idx, dim=1, boundary=boundary))
+        for v in boundary:
+            coboundary[v].append(n0 + idx)
+        if len(boundary) == 1:
+            logger.warning("self-loop edge %d excluded from 2-cell attachment", idx)
+            continue
+        if idx in tree:
+            continue
+        cid = n0 + n1 + len(two_cells)
+        vertices, edges = _fundamental_cycle(forest, idx, edge)
+        cycle = tuple(n0 + e for e in edges)
+        two_cells.append(Cell(id=cid, dim=2, boundary=cycle,
+                              walk=tuple(zip(vertices, cycle))))
+        for ecid in cycle:
+            coboundary[ecid].append(cid)
+        z[cid] = aggregate_cycle_embedding((vertices, edges), z0, z1)
+
+    return CellComplex(
+        graph=graph,
+        cells=(*cells, *two_cells),
+        n0=n0, n1=n1, n2=n2,
+        coboundary=tuple(tuple(c) for c in coboundary),
+        components=tuple(tuple(sorted(c)) for c in forest[3]),
+        tree_edges=tree,
+        policy=policy,
+        embeddings=z,
+        fingerprint=fingerprint,
+    )
 
 
 def betti1(graph: TextualGraph, count_self_loops: bool = False) -> int:

@@ -16,7 +16,7 @@ from .lifting import CellComplex, SpanningTreePolicy, lift_graph
 from .graph_io import TextualGraph
 from .reasoning import (ReasoningWeights, check_weight_file, forward, pool,
                         project)
-from .retrieval import Subcomplex, retrieve_subcomplex, subcomplex_to_dict
+from .retrieval import Subcomplex, retrieve_subcomplex
 
 
 def build_embedding_provider(config: PipelineConfig):
@@ -95,15 +95,6 @@ class AnswerOutcome:
     projected: np.ndarray | None
     generation: GenerationResult
     latency_ms: float
-
-    def to_dict(self) -> dict:
-        return {
-            "answer": self.answer,
-            "subcomplex": subcomplex_to_dict(self.subcomplex),
-            "latency_ms": self.latency_ms,
-            "token_estimate": self.bundle.token_estimate,
-            "truncation_flagged": self.bundle.truncation_flagged,
-        }
 
 
 def answer_question(complex: CellComplex, question: str,

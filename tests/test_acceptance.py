@@ -24,9 +24,9 @@ from toporag.embedding import DeterministicProvider, cosine
 from toporag.evaluation import evaluate, sweep_k2
 from toporag.generation import mock_llm, textualize
 from toporag.graph_io import load_qa_fixture, save_graph
-from toporag.lifting import (BFS, DFS, SpanningTreePolicy, attach_two_cells,
-                             build_skeleton, betti1, connected_components,
-                             spanning_tree, verify_cycle_basis)
+from toporag.lifting import (BFS, DFS, SpanningTreePolicy, betti1,
+                             connected_components, lift_graph,
+                             verify_cycle_basis)
 from toporag.pipeline import retrieve_for_question
 from toporag.reasoning import ReasoningConfig, ReasoningWeights, forward, pool
 from toporag.retrieval import (assign_prizes, is_feasible, retrieve_subcomplex,
@@ -60,10 +60,9 @@ def test_c01_homology_counting():
         g = random_connected_graph(rng, n, m)
         expected = g.num_edges - g.num_nodes + 1
         assert betti1(g) == expected
-        skeleton = build_skeleton(g, [zero] * g.num_nodes, [zero] * g.num_edges)
+        node_vecs, edge_vecs = [zero] * g.num_nodes, [zero] * g.num_edges
         for policy in POLICIES:
-            tree = spanning_tree(g, policy)
-            cx = attach_two_cells(skeleton, tree, policy=policy)
+            cx = lift_graph(g, node_vecs, edge_vecs, policy=policy)
             assert cx.n2 == expected
             rep = verify_cycle_basis(cx)
             assert rep.rank_gf2 == cx.n2
@@ -80,11 +79,10 @@ def test_c02_spanning_tree_structural_invariance():
         n = rng.randrange(5, 80)
         m = rng.randrange(n - 1, 3 * n)
         g = random_connected_graph(rng, n, m)
-        skeleton = build_skeleton(g, [zero] * g.num_nodes, [zero] * g.num_edges)
+        node_vecs, edge_vecs = [zero] * g.num_nodes, [zero] * g.num_edges
         results = []
         for policy in POLICIES:
-            tree = spanning_tree(g, policy)
-            cx = attach_two_cells(skeleton, tree, policy=policy)
+            cx = lift_graph(g, node_vecs, edge_vecs, policy=policy)
             rep = verify_cycle_basis(cx)
             forest_sizes = sorted(len(c) for c in connected_components(g))
             results.append((cx.n2, rep.rank_gf2, forest_sizes))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from toporag import cli, errors
 from toporag.cli import main
 from toporag.config import PipelineConfig, load_config, save_config
 from toporag.graph_io import load_graph, save_graph
@@ -182,6 +183,26 @@ def test_validation_exit_code(tmp_path, capsys, small_cfg):
     assert "error" in capsys.readouterr().err
 
 
+PACKAGE_ERRORS = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, errors.ToporagError)
+     and c is not errors.ToporagError),
+    key=lambda c: c.__name__)
+PROVIDER_ERRORS = (errors.ProviderUnavailable, errors.ProviderRejected)
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda c: c.__name__)
+def test_package_error_exit_code(monkeypatch, capsys, triangle_path, error):
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "load_graph", fail)
+    expected = 3 if error in PROVIDER_ERRORS else 2
+    assert main(["lift", triangle_path]) == expected
+    err = capsys.readouterr().err
+    assert "boom" in err and "internal error" not in err
+
+
 def test_eval_lookup_accuracy_one(capsys, small_cfg):
     assert main(["eval", str(FIXTURES / "explagraphs_mini"),
                  "--config", small_cfg, "--mock-llm", "lookup"]) == 0
@@ -204,6 +225,25 @@ def test_eval_sweep_writes_report(tmp_path, capsys, small_cfg):
 
 def test_missing_fixture_dir_is_io_error(capsys, small_cfg, tmp_path):
     assert main(["eval", str(tmp_path / "nope"), "--config", small_cfg]) == 2
+
+
+def test_retrieve_rejects_string_node_id(tmp_path, capsys, small_cfg):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": "0", "text": "a"}, {"id": 1, "text": "b"}],
+        "edges": [{"src": 0, "dst": 1, "text": "x"}]}), encoding="utf-8")
+    assert main(["retrieve", str(path), "--question", "a",
+                 "--config", small_cfg]) == 2
+    assert "id must be int" in capsys.readouterr().err
+
+
+def test_eval_rejects_string_answers(tmp_path, capsys, small_cfg, triangle_path):
+    (tmp_path / "questions.jsonl").write_text(json.dumps(
+        {"idx": 0, "question": "q", "answers": "support",
+         "graph": "triangle.json"}) + "\n", encoding="utf-8")
+    assert main(["eval", str(tmp_path), "--config", small_cfg,
+                 "--mock-llm", "lookup"]) == 2
+    assert "answers must be list" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field,value,reported", [

@@ -148,3 +148,68 @@ def test_load_qa_fixture_missing_graph(tmp_path):
         encoding="utf-8")
     with pytest.raises(MissingGraphError):
         load_qa_fixture(tmp_path)
+
+
+def _triangle_payload():
+    return {"nodes": [{"id": i, "text": t} for i, t in enumerate("abc")],
+            "edges": [{"src": s, "dst": d, "text": t}
+                      for s, d, t in [(0, 1, "x"), (1, 2, "y"), (2, 0, "z")]],
+            "directed": False}
+
+
+# (section, index or None, key, value): each value is one that int(),
+# str() or bool() would coerce into a well-formed graph
+ILL_TYPED_GRAPH = [
+    ("nodes", 0, "id", "0"), ("nodes", 0, "id", 0.0), ("nodes", 0, "id", False),
+    ("nodes", 1, "id", 1.7), ("edges", 0, "src", "0"), ("edges", 0, "dst", True),
+    ("nodes", 0, "text", 5), ("edges", 0, "text", 5.0),
+    (None, None, "directed", "no"),
+]
+
+
+def write_ill_typed_graph(path, section, index, key, value):
+    payload = _triangle_payload()
+    target = payload if section is None else payload[section][index]
+    target[key] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+@pytest.mark.parametrize("section,index,key,value", ILL_TYPED_GRAPH)
+def test_ill_typed_graph_value_is_parse_error(tmp_path, section, index, key,
+                                              value):
+    p = tmp_path / "g.json"
+    write_ill_typed_graph(p, section, index, key, value)
+    with pytest.raises(ParseError, match=key):
+        load_graph(p)
+
+
+def write_qa_fixture(root, **overrides):
+    (root / "graphs").mkdir()
+    (root / "graphs" / "0.json").write_text(json.dumps(_triangle_payload()),
+                                            encoding="utf-8")
+    record = {"idx": 0, "question": "q", "answers": ["a"],
+              "graph": "graphs/0.json", **overrides}
+    (root / "questions.jsonl").write_text(json.dumps(record) + "\n",
+                                          encoding="utf-8")
+
+
+# values that int() or str() would coerce, and a graph path that is not
+# a string
+ILL_TYPED_QA = [
+    ("idx", "0"), ("idx", 0.5), ("idx", True), ("question", 5),
+    ("answers", "support"), ("answers", [1]), ("graph", 5),
+]
+
+
+@pytest.mark.parametrize("key,value", ILL_TYPED_QA)
+def test_ill_typed_qa_record_is_parse_error(tmp_path, key, value):
+    write_qa_fixture(tmp_path, **{key: value})
+    with pytest.raises(ParseError, match="answer" if key == "answers" else key):
+        load_qa_fixture(tmp_path)
+
+
+def test_well_typed_qa_record_loads(tmp_path):
+    write_qa_fixture(tmp_path, answers=["a", "b"])
+    [example] = load_qa_fixture(tmp_path)
+    assert (example.idx, example.question, example.answers) == (0, "q", ("a", "b"))
+    assert example.graph.num_edges == 3 and not example.graph.directed

@@ -6,10 +6,10 @@ import pytest
 from toporag.embedding import DeterministicProvider, embed_texts
 from toporag.errors import SelfLoopExcluded
 from toporag.lifting import (BFS, DFS, SpanningTreePolicy,
-                             aggregate_cycle_embedding, attach_two_cells,
-                             betti1, connected_components,
-                             find_fundamental_cycle, gf2_rank, lift_graph,
-                             spanning_tree, verify_cycle_basis)
+                             aggregate_cycle_embedding, betti1,
+                             connected_components, find_fundamental_cycle,
+                             gf2_rank, lift_graph, spanning_tree,
+                             verify_cycle_basis)
 
 from helpers import (k4, lift, make_graph, path3, random_connected_graph,
                      triangle, two_triangles)
@@ -256,20 +256,59 @@ def test_every_nontree_nonloop_edge_in_exactly_one_two_cell():
     assert all(v == 1 for v in count.values())
 
 
+def messy_graph(rng):
+    """1-3 components with self-loops and parallel edges, isolated
+    vertices, vertex ids shuffled across components."""
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(1, 20)
+        edges += [(n + rng.randrange(v), n + v) for v in range(1, size)]
+        edges += [(n + rng.randrange(size), n + rng.randrange(size))
+                  for _ in range(rng.randint(0, 2 * size))]
+        n += size
+    n += rng.randint(0, 2)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rng.shuffle(edges)
+    return make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_lift_rooting_matches_public_tree_and_cycles():
+    rng = random.Random(13)
+    zero = np.zeros(2, dtype=np.float32)
+    for trial in range(60):
+        g = messy_graph(rng)
+        for policy in (DFS, BFS, SpanningTreePolicy("random", seed=trial)):
+            cx = lift_graph(g, [zero] * g.num_nodes, [zero] * g.num_edges,
+                            policy=policy)
+            assert cx.tree_edges == spanning_tree(g, policy)
+            assert cx.components == tuple(map(tuple, connected_components(g)))
+            # find_fundamental_cycle roots the tree by its own traversal
+            expected = [find_fundamental_cycle(g, idx, cx.tree_edges)
+                        for idx, e in enumerate(g.edges)
+                        if idx not in cx.tree_edges and e.src != e.dst]
+            got = []
+            for cid in cx.cell_ids(2):
+                walk = cx.cells[cid].walk
+                got.append(([v for v, _ in walk] + [walk[0][0]],
+                            [cx.edge_index(e) for e in cx.cells[cid].boundary]))
+            assert got == expected
+
+
 # --- cycle embedding aggregation ---
 
 def test_aggregate_identical_vectors_is_identity():
     z0 = np.tile(np.arange(4, dtype=np.float32), (3, 1))
     z1 = np.tile(np.arange(4, dtype=np.float32), (3, 1))
     cycle = ([0, 1, 2, 0], [0, 1, 2])
-    out = aggregate_cycle_embedding(cycle, z0, z1, mode="mean")
+    out = aggregate_cycle_embedding(cycle, z0, z1)
     assert np.allclose(out, np.arange(4), atol=1e-7)
 
 
 def test_aggregate_two_basis_vectors():
     z0 = np.array([[1.0, 0.0]], dtype=np.float32)
     z1 = np.array([[0.0, 1.0]], dtype=np.float32)
-    out = aggregate_cycle_embedding(([0, 0], [0]), z0, z1, mode="mean")
+    out = aggregate_cycle_embedding(([0, 0], [0]), z0, z1)
     assert np.allclose(out, [0.5, 0.5])
 
 
@@ -278,7 +317,7 @@ def test_aggregate_matches_bruteforce_mean():
     z0 = rng.normal(size=(3, 8)).astype(np.float32)
     z1 = rng.normal(size=(3, 8)).astype(np.float32)
     cycle = ([0, 1, 2, 0], [0, 1, 2])
-    out = aggregate_cycle_embedding(cycle, z0, z1, mode="mean")
+    out = aggregate_cycle_embedding(cycle, z0, z1)
     expected = np.zeros(8)
     for v in (0, 1, 2):
         expected += z0[v]
@@ -286,13 +325,6 @@ def test_aggregate_matches_bruteforce_mean():
         expected += z1[e]
     expected /= 6.0
     assert np.allclose(out, expected, atol=1e-7)
-
-
-def test_aggregate_max_mode():
-    z0 = np.array([[1.0, -2.0]], dtype=np.float32)
-    z1 = np.array([[0.0, 5.0]], dtype=np.float32)
-    out = aggregate_cycle_embedding(([0, 0], [0]), z0, z1, mode="max")
-    assert np.allclose(out, [1.0, 5.0])
 
 
 def test_embedding_rows_follow_cell_ids():
@@ -317,10 +349,6 @@ def test_embedding_rows_follow_cell_ids():
             assert np.array_equal(z[cid], aggregate_cycle_embedding(cycle, z0, z1))
         for cid in range(cx.num_cells):
             assert np.array_equal(cx.vector(cid), z[cid])
-        # re-attaching over a complex that already has 2-cells pools from
-        # its 0- and 1-cell rows only
-        again = attach_two_cells(cx, cx.tree_edges, policy=policy)
-        assert np.array_equal(again.embeddings, z)
 
 
 # --- homology counting ---
