@@ -5,6 +5,9 @@ token hashing, used in tests and anywhere hermetic behaviour matters)
 and a client for the de-facto ``POST /v1/embeddings`` HTTP API. A
 binary on-disk cache avoids re-embedding identical texts.
 
+The HTTP client and the chat client in :mod:`toporag.generation` share
+one JSON transport, :func:`post_json`, and so one failure table.
+
 Vectors are float32; cosine comparisons accumulate in float64.
 """
 
@@ -19,20 +22,18 @@ from pathlib import Path
 import numpy as np
 import requests
 
-from .errors import CacheCorrupt, DimensionMismatch, ProviderUnavailable, ZeroVector
+from .errors import (CacheCorrupt, DimensionMismatch, IoError,
+                     ProviderRejected, ProviderUnavailable, ValidationError,
+                     ZeroVector)
 
 DEFAULT_DIM = 1024
-
-_ENV_BASE = "EMBED_API_BASE"
-_ENV_KEY = "EMBED_API_KEY"
-_ENV_MODEL = "EMBED_MODEL"
 
 
 def _check_vector(vec: np.ndarray, dim: int) -> None:
     if vec.shape != (dim,):
         raise DimensionMismatch(f"expected dim {dim}, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
-        raise ValueError("embedding contains non-finite entries")
+        raise ProviderUnavailable("embedding contains non-finite entries")
 
 
 class DeterministicProvider:
@@ -80,17 +81,45 @@ class DeterministicProvider:
         return out
 
 
+def endpoint_from_env(prefix: str, base_url: str | None, api_key: str | None,
+                      model: str | None) -> tuple[str, str, str]:
+    """Each argument, else ``<prefix>_API_BASE``, ``_API_KEY`` or ``_MODEL``;
+    a missing base URL is a :class:`ValidationError`."""
+    base_url = (base_url or os.environ.get(f"{prefix}_API_BASE", "")).rstrip("/")
+    if not base_url:
+        raise ValidationError(f"no endpoint: pass base_url or set {prefix}_API_BASE")
+    if api_key is None:
+        api_key = os.environ.get(f"{prefix}_API_KEY", "")
+    return base_url, api_key, model or os.environ.get(f"{prefix}_MODEL", "")
+
+
+def post_json(url: str, payload: dict, api_key: str, timeout: float):
+    """POST ``payload`` as JSON to ``url`` and return the decoded reply.
+
+    HTTP 4xx raises :class:`ProviderRejected`; any other status but 200,
+    a body that is not JSON and every transport fault (no connection, a
+    timeout, a truncated body, a bad URL) raise :class:`ProviderUnavailable`.
+    """
+    headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
+    try:
+        resp = requests.post(url, json=payload, headers=headers,
+                             timeout=timeout)
+        if resp.status_code == 200:
+            return resp.json()
+    except requests.RequestException as exc:  # includes JSONDecodeError
+        raise ProviderUnavailable(f"no usable reply from {url}: {exc}") from exc
+    error = ProviderRejected if 400 <= resp.status_code < 500 else ProviderUnavailable
+    raise error(f"{url} returned HTTP {resp.status_code}: {resp.text[:200]}")
+
+
 class HttpEmbeddingProvider:
-    """Client for an OpenAI-style ``/v1/embeddings`` endpoint."""
+    """Client for an OpenAI-style ``/v1/embeddings`` endpoint (``EMBED_*``)."""
 
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
                  model: str | None = None, dim: int = DEFAULT_DIM,
                  timeout: float = 30.0):
-        self.base_url = (base_url or os.environ.get(_ENV_BASE, "")).rstrip("/")
-        if not self.base_url:
-            raise ValueError(f"no endpoint: pass base_url or set {_ENV_BASE}")
-        self.api_key = api_key if api_key is not None else os.environ.get(_ENV_KEY, "")
-        self.model = model or os.environ.get(_ENV_MODEL, "")
+        self.base_url, self.api_key, self.model = endpoint_from_env(
+            "EMBED", base_url, api_key, model)
         self.dim = dim
         self.timeout = timeout
         self.calls = 0
@@ -101,36 +130,21 @@ class HttpEmbeddingProvider:
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         self.calls += 1
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        reply = post_json(f"{self.base_url}/v1/embeddings",
+                          {"model": self.model, "input": list(texts)},
+                          self.api_key, self.timeout)
         try:
-            resp = requests.post(
-                f"{self.base_url}/v1/embeddings",
-                json={"model": self.model, "input": list(texts)},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except (requests.ConnectionError, requests.Timeout) as exc:
-            raise ProviderUnavailable(f"embedding endpoint unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise ProviderUnavailable(
-                f"embedding endpoint returned HTTP {resp.status_code}: {resp.text[:200]}"
-            )
-        try:
-            rows = sorted(resp.json()["data"], key=lambda r: r["index"])
+            rows = sorted(reply["data"], key=lambda r: r["index"])
             vectors = [np.asarray(r["embedding"], dtype=np.float32) for r in rows]
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderUnavailable(f"malformed embeddings response: {exc}") from exc
         if len(vectors) != len(texts):
             raise ProviderUnavailable(
-                f"expected {len(texts)} embeddings, got {len(vectors)}"
-            )
+                f"expected {len(texts)} embeddings, got {len(vectors)}")
         for vec in vectors:
             if vec.shape != (self.dim,):
                 raise DimensionMismatch(
-                    f"provider returned dim {vec.shape}, expected ({self.dim},)"
-                )
+                    f"provider returned dim {vec.shape}, expected ({self.dim},)")
         return vectors
 
 
@@ -161,30 +175,33 @@ _CACHE_LOCK = threading.Lock()  # single-writer contract for cache files
 
 
 def _read_cache(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
-    with path.open("rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-            dim = int(header["dim"])
-            count = int(header["count"])
-            header["fingerprint"]
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError,
-                ValueError) as exc:
-            raise CacheCorrupt(f"{path}: bad header: {exc}") from exc
-        entries: dict[str, np.ndarray] = {}
-        row_bytes = dim * 4
-        for _ in range(count):
-            key_line = fh.readline()
-            if not key_line.endswith(b"\n"):
-                raise CacheCorrupt(f"{path}: truncated key line")
+    try:
+        with path.open("rb") as fh:
+            header_line = fh.readline()
             try:
-                text = json.loads(key_line.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise CacheCorrupt(f"{path}: bad key line: {exc}") from exc
-            payload = fh.read(row_bytes)
-            if len(payload) != row_bytes:
-                raise CacheCorrupt(f"{path}: truncated vector payload")
-            entries[text] = np.frombuffer(payload, dtype="<f4").copy()
+                header = json.loads(header_line.decode("utf-8"))
+                dim = int(header["dim"])
+                count = int(header["count"])
+                header["fingerprint"]
+            except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
+                    TypeError, ValueError) as exc:
+                raise CacheCorrupt(f"{path}: bad header: {exc}") from exc
+            entries: dict[str, np.ndarray] = {}
+            row_bytes = dim * 4
+            for _ in range(count):
+                key_line = fh.readline()
+                if not key_line.endswith(b"\n"):
+                    raise CacheCorrupt(f"{path}: truncated key line")
+                try:
+                    text = json.loads(key_line.decode("utf-8"))
+                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                    raise CacheCorrupt(f"{path}: bad key line: {exc}") from exc
+                payload = fh.read(row_bytes)
+                if len(payload) != row_bytes:
+                    raise CacheCorrupt(f"{path}: truncated vector payload")
+                entries[text] = np.frombuffer(payload, dtype="<f4").copy()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
     return header, entries
 
 
@@ -195,12 +212,15 @@ def _write_cache(path: Path, dim: int, fingerprint: str,
         ensure_ascii=False,
     )
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("wb") as fh:
-        fh.write(header.encode("utf-8") + b"\n")
-        for text, vec in entries.items():
-            fh.write(json.dumps(text, ensure_ascii=False).encode("utf-8") + b"\n")
-            fh.write(np.asarray(vec, dtype="<f4").tobytes())
-    os.replace(tmp, path)
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(header.encode("utf-8") + b"\n")
+            for text, vec in entries.items():
+                fh.write(json.dumps(text, ensure_ascii=False).encode("utf-8") + b"\n")
+                fh.write(np.asarray(vec, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def cache_get_or_embed(texts: list[str], provider,

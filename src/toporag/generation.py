@@ -14,17 +14,18 @@ The assembled prompt follows a fixed grammar::
 
 Empty sections contribute no lines; the cycle section disappears when
 no 2-cell is selected.
+
+:class:`ChatCompletionsClient` sends the prompt through the embedding
+client's JSON transport, :func:`toporag.embedding.post_json`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
-import requests
-
-from .errors import DanglingCell, ProviderRejected, ProviderUnavailable
+from .embedding import endpoint_from_env, post_json
+from .errors import DanglingCell, ProviderUnavailable
 from .retrieval import Subcomplex
 
 DEFAULT_PREAMBLE = (
@@ -33,11 +34,6 @@ DEFAULT_PREAMBLE = (
 )
 DEFAULT_MAX_INPUT_TOKENS = 512
 DEFAULT_MAX_NEW_TOKENS = 32
-
-_ENV_BASE = "LLM_API_BASE"
-_ENV_KEY = "LLM_API_KEY"
-_ENV_MODEL = "LLM_MODEL"
-_ENV_TIMEOUT = "LLM_TIMEOUT_MS"
 
 
 @dataclass(frozen=True)
@@ -129,50 +125,31 @@ class GenerationResult:
 
 
 class ChatCompletionsClient:
-    """Client for an OpenAI-style ``/v1/chat/completions`` endpoint."""
+    """Client for an OpenAI-style ``/v1/chat/completions`` endpoint (``LLM_*``)."""
 
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
-                 model: str | None = None, timeout_ms: int | None = None,
+                 model: str | None = None, timeout_ms: int = 30000,
                  max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS):
-        self.base_url = (base_url or os.environ.get(_ENV_BASE, "")).rstrip("/")
-        if not self.base_url:
-            raise ValueError(f"no endpoint: pass base_url or set {_ENV_BASE}")
-        self.api_key = api_key if api_key is not None else os.environ.get(_ENV_KEY, "")
-        self.model = model or os.environ.get(_ENV_MODEL, "")
-        if timeout_ms is None:
-            timeout_ms = int(os.environ.get(_ENV_TIMEOUT, "30000"))
+        self.base_url, self.api_key, self.model = endpoint_from_env(
+            "LLM", base_url, api_key, model)
         self.timeout = timeout_ms / 1000.0
         self.max_new_tokens = max_new_tokens
 
     def complete(self, bundle: PromptBundle):
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        reply = post_json(
+            f"{self.base_url}/v1/chat/completions",
+            {"model": self.model,
+             "messages": [{"role": "user", "content": bundle.prompt}],
+             "max_tokens": self.max_new_tokens},
+            self.api_key, self.timeout)
         try:
-            resp = requests.post(
-                f"{self.base_url}/v1/chat/completions",
-                json={
-                    "model": self.model,
-                    "messages": [{"role": "user", "content": bundle.prompt}],
-                    "max_tokens": self.max_new_tokens,
-                },
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except (requests.ConnectionError, requests.Timeout) as exc:
-            raise ProviderUnavailable(f"chat endpoint unreachable: {exc}") from exc
-        if 400 <= resp.status_code < 500:
-            raise ProviderRejected(
-                f"chat endpoint rejected the request: HTTP {resp.status_code}")
-        if resp.status_code != 200:
-            raise ProviderUnavailable(
-                f"chat endpoint returned HTTP {resp.status_code}")
-        try:
-            payload = resp.json()
-            content = payload["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ProviderUnavailable(f"malformed chat response: {exc}") from exc
-        return content, payload
+            content = reply["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str):
+            raise ProviderUnavailable("malformed chat response: "
+                                      "choices[0].message.content is not a string")
+        return content, reply
 
 
 class MockLlmClient:

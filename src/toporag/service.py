@@ -13,7 +13,7 @@ weights file is still checked at start, by its header. Endpoints::
 
 Errors: 400 malformed Content-Length, 404 unknown graph_id or path, 411
 missing Content-Length, 413 body over ``MAX_BODY_BYTES``, 422 malformed
-body, 503 when the generation provider is unavailable.
+body, 503 when the embedding or generation provider fails.
 
 Connections are persistent (HTTP/1.1): a client's requests share one
 connection and one handler thread. The server closes a connection after

@@ -1,4 +1,8 @@
+import json
 import random
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 from toporag.embedding import DeterministicProvider, embed_texts
@@ -56,3 +60,52 @@ def lift(graph, dim=16, seed=7, policy=DFS):
     edge_vecs = embed_texts([e.text for e in graph.edges], provider)
     return lift_graph(graph, node_vecs, edge_vecs, policy=policy,
                       fingerprint=provider.fingerprint)
+
+
+class StubProviderHandler(BaseHTTPRequestHandler):
+    """Local stand-in for the embedding and chat endpoints.
+
+    Every POST gets ``status`` with ``body``: JSON-encoded, or sent as is
+    when it is bytes. With ``truncate`` the reply announces more bytes
+    than it sends, then the connection closes.
+    """
+
+    status = 200
+    body = {"choices": [{"message": {"content": "stub answer   \n"}}]}
+    truncate = False
+
+    def log_message(self, *args):
+        pass
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        self.rfile.read(length)
+        payload = (self.body if isinstance(self.body, bytes)
+                   else json.dumps(self.body).encode())
+        self.send_response(self.status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length",
+                         str(len(payload) + 16 * self.truncate))
+        self.end_headers()
+        self.wfile.write(payload)
+
+
+@contextmanager
+def stub_server(handler=StubProviderHandler, **reply):
+    """Serve ``handler`` on a free local port; ``reply`` overrides its
+    ``status``, ``body`` or ``truncate`` for this server only."""
+    if reply:
+        handler = type(handler.__name__, (handler,), reply)
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def base_url(server) -> str:
+    return "http://%s:%d" % server.server_address

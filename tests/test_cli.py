@@ -11,7 +11,7 @@ from toporag.pipeline import (build_embedding_provider, lift_from_config,
 from toporag.reasoning import (ReasoningConfig, ReasoningWeights, forward,
                                pool, project)
 
-from helpers import FIXTURES, make_graph, triangle
+from helpers import FIXTURES, base_url, make_graph, stub_server, triangle
 
 
 @pytest.fixture
@@ -169,10 +169,46 @@ def test_answer_provider_down_exit_code(tmp_path, capsys, triangle_path,
     save_config(PipelineConfig(embed_dim=16, state_dim=16, proj_dim=16,
                                llm_provider="http", llm_timeout_ms=200),
                 cfg_path)
-    monkeypatch.setenv("LLM_API_BASE", "http://127.0.0.1:1")
-    assert main(["answer", triangle_path, "--question", "q",
-                 "--config", str(cfg_path)]) == 3
-    assert "provider" in capsys.readouterr().err
+    with stub_server(truncate=True) as truncated:
+        for base in ("http://127.0.0.1:1", base_url(truncated)):
+            monkeypatch.setenv("LLM_API_BASE", base)
+            assert main(["answer", triangle_path, "--question", "q",
+                         "--config", str(cfg_path)]) == 3
+            assert "provider" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,key,prefix", [
+    ("retrieve", "embed_provider", "EMBED"),
+    ("answer", "embed_provider", "EMBED"),
+    ("answer", "llm_provider", "LLM"),
+    ("serve", "embed_provider", "EMBED"),
+    ("serve", "llm_provider", "LLM"),
+])
+def test_missing_endpoint_is_validation_error(tmp_path, capsys, monkeypatch,
+                                              triangle_path, command, key,
+                                              prefix):
+    monkeypatch.delenv(f"{prefix}_API_BASE", raising=False)
+    cfg = write_small_cfg(tmp_path / "http.cfg", **{key: "http"})
+    if command == "serve":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"graphs": {"tri": triangle_path}}))
+        args = ["serve", "--manifest", str(manifest), "--port", "0"]
+    else:
+        args = [command, triangle_path, "--question", "q"]
+    assert main(args + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{prefix}_API_BASE" in err
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unusable_embed_cache_is_io_error(tmp_path, capsys, triangle_path,
+                                          where):
+    cache = {"missing-dir": tmp_path / "nope" / "emb.cache",
+             "directory": tmp_path}[where]
+    cfg = write_small_cfg(tmp_path / "c.cfg", embed_cache=str(cache))
+    assert main(["lift", triangle_path, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cache) in err
 
 
 def test_validation_exit_code(tmp_path, capsys, small_cfg):

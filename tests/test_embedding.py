@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from toporag.embedding import (DeterministicProvider, HttpEmbeddingProvider,
                                cache_get_or_embed, cosine, embed_texts)
-from toporag.errors import (CacheCorrupt, DimensionMismatch,
+from toporag.errors import (CacheCorrupt, DimensionMismatch, IoError,
                             ProviderUnavailable, ZeroVector)
+
+from helpers import base_url, stub_server
 
 
 def test_deterministic_same_text_same_vector(provider):
@@ -138,3 +140,42 @@ def test_http_provider_unreachable():
                                      model="m", dim=8, timeout=0.2)
     with pytest.raises(ProviderUnavailable):
         provider.embed(["x"])
+
+
+def embed_from_stub(rows, texts=("a", "b"), dim=2):
+    with stub_server(body={"data": rows}) as server:
+        provider = HttpEmbeddingProvider(base_url=base_url(server), model="m",
+                                         dim=dim, timeout=2.0)
+        return embed_texts(list(texts), provider)
+
+
+def test_http_rows_come_back_in_input_order():
+    rows = [{"index": 2, "embedding": [0.0, 3.0]},
+            {"index": 0, "embedding": [1.0, 0.0]},
+            {"index": 1, "embedding": [0.0, 2.0]}]
+    vectors = embed_from_stub(rows, texts=("a", "b", "c"))
+    assert [v.tolist() for v in vectors] == [[1.0, 0.0], [0.0, 2.0],
+                                             [0.0, 3.0]]
+    assert all(v.dtype == np.float32 for v in vectors)
+
+
+@pytest.mark.parametrize("rows,error", [
+    ([{"index": 0, "embedding": [1.0, 0.0]}], ProviderUnavailable),
+    ([{"index": 0, "embedding": [1.0, 0.0]},
+      {"index": 1, "embedding": [1.0, 0.0, 0.0]}], DimensionMismatch),
+    ([{"index": 0, "embedding": [1.0, 0.0]},
+      {"index": 1, "embedding": [None, 1.0]}], ProviderUnavailable),
+    ([{"index": 0, "embedding": [1.0, 0.0]}, {"embedding": [1.0, 0.0]}],
+     ProviderUnavailable),
+], ids=["row-count", "width", "null-entry", "no-index"])
+def test_http_reply_shape_is_checked(rows, error):
+    with pytest.raises(error):
+        embed_from_stub(rows)
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unusable_cache_path_is_io_error(tmp_path, provider, where):
+    cache = {"missing-dir": tmp_path / "nope" / "emb.cache",
+             "directory": tmp_path}[where]
+    with pytest.raises(IoError, match=str(cache)):
+        cache_get_or_embed(["a"], provider, cache)

@@ -1,18 +1,20 @@
 import dataclasses
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import socket
 
 import pytest
 
-from toporag.errors import DanglingCell, ProviderRejected, ProviderUnavailable
+from toporag.embedding import HttpEmbeddingProvider, embed_texts
+from toporag.errors import (DanglingCell, ProviderRejected,
+                            ProviderUnavailable, ValidationError)
 from toporag.generation import (ChatCompletionsClient, build_prompt, generate,
                                 mock_llm, textualize)
 from toporag.graph_io import load_graph
 from toporag.retrieval import (assign_prizes, solve_subcomplex,
                                topk_two_cells)
 
-from helpers import FIXTURES, lift, make_graph, triangle
+from helpers import (FIXTURES, StubProviderHandler, base_url, lift,
+                     make_graph, stub_server, triangle)
 
 
 def scene_loop_subcomplex():
@@ -177,32 +179,14 @@ def test_mock_contains_context_empty_subcomplex():
 
 # --- HTTP transport ---
 
-class _StubChatHandler(BaseHTTPRequestHandler):
-    status = 200
-    body = {"choices": [{"message": {"content": "stub answer   \n"}}]}
-
-    def log_message(self, *args):
-        pass
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        self.rfile.read(length)
-        payload = json.dumps(self.body).encode()
-        self.send_response(self.status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+class _StubChatHandler(StubProviderHandler):
+    """The shared stub, reconfigured in place by the tests below."""
 
 
 @pytest.fixture
 def stub_chat_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
+    with stub_server(_StubChatHandler) as server:
+        yield server
 
 
 def bundle_for(question="q?"):
@@ -234,3 +218,75 @@ def test_http_client_unreachable():
                                    timeout_ms=200)
     with pytest.raises(ProviderUnavailable):
         generate(bundle_for(), client)
+
+
+
+# --- the failure table, shared by both providers ---
+
+EMBEDDING_ROWS = {"data": [{"index": 0, "embedding": [1.0, 0.0]},
+                           {"index": 1, "embedding": [0.0, 1.0]}]}
+
+
+def ask_embeddings(url, timeout=2.0):
+    provider = HttpEmbeddingProvider(base_url=url, model="m", dim=2,
+                                     timeout=timeout)
+    return embed_texts(["a", "b"], provider)
+
+
+def ask_chat(url, timeout=2.0):
+    client = ChatCompletionsClient(base_url=url, model="m",
+                                   timeout_ms=int(timeout * 1000))
+    return generate(bundle_for(), client).answer
+
+
+PROVIDERS = {"embeddings": (ask_embeddings, EMBEDDING_ROWS),
+             "chat": (ask_chat, StubProviderHandler.body)}
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+@pytest.mark.parametrize("reply,error", [
+    ({"status": 400}, ProviderRejected),
+    ({"status": 503}, ProviderUnavailable),
+    ({"status": 201}, ProviderUnavailable),
+    ({"body": b"<html>busy</html>"}, ProviderUnavailable),
+    ({"truncate": True}, ProviderUnavailable),
+], ids=["400", "503", "201", "not-json", "truncated"])
+def test_failure_table(provider, reply, error):
+    ask, body = PROVIDERS[provider]
+    with stub_server(**{"body": body, **reply}) as server:
+        with pytest.raises(error):
+            ask(base_url(server))
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+def test_transport_faults_are_unavailable(provider):
+    ask, _ = PROVIDERS[provider]
+    with socket.create_server(("127.0.0.1", 0)) as silent:  # never answers
+        for url in ("http://127.0.0.1:99999",  # not a valid URL
+                    "http://%s:%d" % silent.getsockname()):  # times out
+            with pytest.raises(ProviderUnavailable):
+                ask(url, timeout=0.2)
+
+
+@pytest.mark.parametrize("content", [None, ["a", "b"], 5],
+                         ids=["null", "list", "number"])
+def test_chat_content_must_be_a_string(content):
+    reply = {"choices": [{"message": {"content": content}}]}
+    with stub_server(body=reply) as server:
+        with pytest.raises(ProviderUnavailable, match="not a string"):
+            ask_chat(base_url(server))
+
+
+@pytest.mark.parametrize("provider,prefix", [
+    (HttpEmbeddingProvider, "EMBED"), (ChatCompletionsClient, "LLM"),
+])
+def test_missing_base_url_is_validation_error(monkeypatch, provider, prefix):
+    monkeypatch.delenv(f"{prefix}_API_BASE", raising=False)
+    with pytest.raises(ValidationError, match=f"{prefix}_API_BASE"):
+        provider()
+    monkeypatch.setenv(f"{prefix}_API_BASE", "http://127.0.0.1:1/")
+    monkeypatch.setenv(f"{prefix}_API_KEY", "k")
+    monkeypatch.setenv(f"{prefix}_MODEL", "m")
+    client = provider()
+    assert (client.base_url, client.api_key, client.model) == (
+        "http://127.0.0.1:1", "k", "m")

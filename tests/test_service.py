@@ -17,7 +17,7 @@ from toporag.reasoning import ReasoningConfig, ReasoningWeights
 from toporag.service import (MAX_BODY_BYTES, ServiceState, load_manifest,
                              make_server)
 
-from helpers import FIXTURES, triangle
+from helpers import FIXTURES, base_url, stub_server, triangle
 
 
 @pytest.fixture(scope="module")
@@ -102,27 +102,29 @@ def test_malformed_body_422(service):
 
 
 def test_provider_down_503(tmp_path, monkeypatch):
-    monkeypatch.setenv("LLM_API_BASE", "http://127.0.0.1:1")
     config = PipelineConfig(embed_dim=16, state_dim=16, proj_dim=16,
                             llm_provider="http", llm_timeout_ms=200)
-    server = make_server(config, {"scene": str(FIXTURES / "scene_loop")},
-                         port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address
-    try:
-        resp = requests.post(f"http://{host}:{port}/v1/answer",
-                             json={"graph_id": "scene", "question": "q"},
-                             timeout=10)
-        assert resp.status_code == 503
-        # retrieval does not touch the generation provider
-        resp = requests.post(f"http://{host}:{port}/v1/retrieve",
-                             json={"graph_id": "scene", "question": "q"},
-                             timeout=10)
-        assert resp.status_code == 200
-    finally:
-        server.shutdown()
-        server.server_close()
+    with stub_server(truncate=True) as truncated:
+        for base in ("http://127.0.0.1:1", base_url(truncated)):
+            monkeypatch.setenv("LLM_API_BASE", base)
+            server = make_server(config, {"scene": str(FIXTURES / "scene_loop")},
+                                 port=0)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            host, port = server.server_address
+            try:
+                resp = requests.post(f"http://{host}:{port}/v1/answer",
+                                     json={"graph_id": "scene", "question": "q"},
+                                     timeout=10)
+                assert resp.status_code == 503
+                # retrieval does not touch the generation provider
+                resp = requests.post(f"http://{host}:{port}/v1/retrieve",
+                                     json={"graph_id": "scene", "question": "q"},
+                                     timeout=10)
+                assert resp.status_code == 200
+            finally:
+                server.shutdown()
+                server.server_close()
 
 
 class _SlowEchoClient:
