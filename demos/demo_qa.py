@@ -10,7 +10,7 @@ Run from the repository root:  python3 demos/demo_qa.py
 from pathlib import Path
 
 from toporag import (PipelineConfig, answer_question, lift_from_config,
-                     load_qa_fixture, mock_llm, subcomplex_stats)
+                     load_qa_fixture, mock_llm)
 from toporag.evaluation import evaluate, format_report
 from toporag.pipeline import build_embedding_provider, load_or_init_weights
 
@@ -31,11 +31,10 @@ complex = lift_from_config(example.graph, config, provider=provider)
 outcome = answer_question(complex, example.question, config, client,
                           provider=provider,
                           weights=load_or_init_weights(config))
-stats = subcomplex_stats(outcome.subcomplex)
+sub = outcome.subcomplex
 print(f"\nquestion: {example.question}")
-print(f"retrieved subcomplex: {stats['n0']} nodes, {stats['n1']} edges, "
-      f"{stats['n2']} cycle cell(s); objective "
-      f"{outcome.subcomplex.objective:.1f}")
+print(f"retrieved subcomplex: {len(sub.cells0)} nodes, {len(sub.cells1)} "
+      f"edges, {len(sub.cells2)} cycle cell(s); objective {sub.objective:.1f}")
 print("prompt sent to the generator:")
 print("  | " + outcome.bundle.prompt.replace("\n", "\n  | "))
 print(f"answer: {outcome.answer}")

@@ -17,15 +17,14 @@ from .generation import (ChatCompletionsClient, GenerationResult, MockLlmClient,
 from .graph_io import (Edge, Node, QaExample, TextualGraph, load_graph,
                        load_qa_fixture, save_graph)
 from .lifting import (BFS, DFS, Cell, CellComplex, CycleBasisReport,
-                      SpanningTreePolicy, aggregate_cycle_embedding, betti1,
-                      find_fundamental_cycle, lift_graph, spanning_tree,
+                      SpanningTreePolicy, betti1, lift_graph,
                       verify_cycle_basis)
 from .pipeline import answer_question, lift_from_config, retrieve_for_question
 from .reasoning import (CellStates, ReasoningConfig, ReasoningWeights, forward,
                         init_states, pool, project, stage1_pass, stage2_pass)
 from .retrieval import (PrizeAssignment, RankedCell, Subcomplex, assign_prizes,
                         enforce_boundary_consistency, retrieve_subcomplex,
-                        solve_subcomplex, subcomplex_stats, subcomplex_to_dict,
-                        topk_cells, topk_two_cells)
+                        solve_subcomplex, subcomplex_to_dict, topk_cells,
+                        topk_two_cells)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from . import errors
 from .config import PipelineConfig, load_config
 from .evaluation import evaluate, format_report, format_sweep, sweep_k2
 from .generation import MockLlmClient
-from .graph_io import load_graph, load_qa_fixture
+from .graph_io import check_question, load_graph, load_qa_fixture
 from .lifting import betti1, verify_cycle_basis
 from .pipeline import (answer_question, build_embedding_provider,
                        build_llm_client, check_weights, lift_from_config,
@@ -107,6 +107,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    check_question(args.question, "--question")
     config = _load_pipeline_config(args)
     graph = load_graph(args.graph, format=args.format)
     provider = build_embedding_provider(config)
@@ -118,6 +119,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_answer(args) -> int:
+    check_question(args.question, "--question")
     config = _load_pipeline_config(args)
     check_weights(config)
     graph = load_graph(args.graph, format=args.format)

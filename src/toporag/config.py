@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, parse_json, typed
 from .generation import (DEFAULT_MAX_INPUT_TOKENS, DEFAULT_MAX_NEW_TOKENS,
                          DEFAULT_PREAMBLE, MockLlmClient)
 from .lifting import SpanningTreePolicy
@@ -60,11 +60,8 @@ class PipelineConfig:
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float) if kind is float else kind):
-                raise ValidationError(
-                    f"{f.name} must be {kind.__name__}, got {value!r}")
+            typed(getattr(self, f.name), type(f.default), f.name,
+                  ValidationError)
         if self.k0 < 0 or self.k1 < 0:
             raise ValidationError("k0 and k1 must be non-negative")
         if self.k2 not in VALID_K2:
@@ -93,6 +90,8 @@ class PipelineConfig:
                 "state_dim must equal embed_dim (states seed from embeddings)")
         if self.max_input_tokens <= 0 or self.max_new_tokens <= 0:
             raise ValidationError("token budgets must be positive")
+        if self.llm_timeout_ms <= 0:
+            raise ValidationError("llm_timeout_ms must be positive")
 
     def reasoning_config(self) -> ReasoningConfig:
         return ReasoningConfig(
@@ -119,10 +118,8 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
         if key not in fields:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = json.loads(raw.strip())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}:{lineno}: bad value: {exc}") from exc
+        values[key] = parse_json(raw.strip(), f"{path}:{lineno}: bad value",
+                                 ValidationError)
     return PipelineConfig(**values)
 
 

@@ -24,7 +24,7 @@ import requests
 
 from .errors import (CacheCorrupt, DimensionMismatch, IoError,
                      ProviderRejected, ProviderUnavailable, ValidationError,
-                     ZeroVector)
+                     ZeroVector, parse_json, typed)
 
 DEFAULT_DIM = 1024
 
@@ -97,8 +97,9 @@ def post_json(url: str, payload: dict, api_key: str, timeout: float):
     """POST ``payload`` as JSON to ``url`` and return the decoded reply.
 
     HTTP 4xx raises :class:`ProviderRejected`; any other status but 200,
-    a body that is not JSON and every transport fault (no connection, a
-    timeout, a truncated body, a bad URL) raise :class:`ProviderUnavailable`.
+    a body that is not JSON or nests too deeply to parse, and every
+    transport fault (no connection, a timeout, a truncated body, a bad
+    URL) raise :class:`ProviderUnavailable`.
     """
     headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
     try:
@@ -106,7 +107,7 @@ def post_json(url: str, payload: dict, api_key: str, timeout: float):
                              timeout=timeout)
         if resp.status_code == 200:
             return resp.json()
-    except requests.RequestException as exc:  # includes JSONDecodeError
+    except (requests.RequestException, RecursionError) as exc:
         raise ProviderUnavailable(f"no usable reply from {url}: {exc}") from exc
     error = ProviderRejected if 400 <= resp.status_code < 500 else ProviderUnavailable
     raise error(f"{url} returned HTTP {resp.status_code}: {resp.text[:200]}")
@@ -177,25 +178,23 @@ _CACHE_LOCK = threading.Lock()  # single-writer contract for cache files
 def _read_cache(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     try:
         with path.open("rb") as fh:
-            header_line = fh.readline()
-            try:
-                header = json.loads(header_line.decode("utf-8"))
-                dim = int(header["dim"])
-                count = int(header["count"])
-                header["fingerprint"]
-            except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-                    TypeError, ValueError) as exc:
-                raise CacheCorrupt(f"{path}: bad header: {exc}") from exc
+            what = f"{path}: bad header"
+            header = typed(parse_json(fh.readline(), what, CacheCorrupt),
+                           dict, what, CacheCorrupt)
+            dim = typed(header.get("dim"), int, f"{what}: dim", CacheCorrupt)
+            count = typed(header.get("count"), int, f"{what}: count",
+                          CacheCorrupt)
+            typed(header.get("fingerprint"), str, f"{what}: fingerprint",
+                  CacheCorrupt)
             entries: dict[str, np.ndarray] = {}
             row_bytes = dim * 4
             for _ in range(count):
                 key_line = fh.readline()
                 if not key_line.endswith(b"\n"):
                     raise CacheCorrupt(f"{path}: truncated key line")
-                try:
-                    text = json.loads(key_line.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                    raise CacheCorrupt(f"{path}: bad key line: {exc}") from exc
+                text = typed(parse_json(key_line, f"{path}: bad key line",
+                                        CacheCorrupt),
+                             str, f"{path}: key line", CacheCorrupt)
                 payload = fh.read(row_bytes)
                 if len(payload) != row_bytes:
                     raise CacheCorrupt(f"{path}: truncated vector payload")
@@ -242,6 +241,9 @@ def cache_get_or_embed(texts: list[str], provider,
                 entries = stored
         missing = [t for t in dict.fromkeys(texts) if t not in entries]
         if missing:
+            if not os.access(cache.parent, os.W_OK):
+                raise IoError(f"cannot write {cache}: {cache.parent} is not "
+                              "a writable directory")
             for text, vec in zip(missing, embed_texts(missing, provider)):
                 entries[text] = vec
             _write_cache(cache, provider.dim, provider.fingerprint, entries)

@@ -1,4 +1,8 @@
-"""Typed exceptions shared across the package."""
+"""Typed exceptions shared across the package, and the one parser and
+type check for documents read from outside it."""
+
+import json
+import sys
 
 
 class ToporagError(Exception):
@@ -41,10 +45,6 @@ class CacheCorrupt(ToporagError):
     """The embedding cache file is unreadable or internally inconsistent."""
 
 
-class SelfLoopExcluded(ToporagError):
-    """Self-loop edges do not induce 2-cells."""
-
-
 class EmptyCandidates(ToporagError):
     """No cell carries positive prize and no fallback cell was supplied."""
 
@@ -59,3 +59,32 @@ class DanglingCell(ToporagError):
 
 class EmptySubcomplex(ToporagError):
     """An operation requires at least one cell."""
+
+
+def parse_json(text: str | bytes, what: str, error: type[ToporagError]):
+    """``json.loads(text)``, bytes read as UTF-8; a document that is not
+    JSON, or nests too deeply to parse, raises ``error``."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes)
+                          else text)
+    except (ValueError, RecursionError) as exc:  # ValueError: JSON, UTF-8
+        raise error(f"{what}: {exc}") from exc
+
+
+def typed(value, kind: type, what: str, error: type[ToporagError]):
+    """``value`` if it has JSON type ``kind``, else ``error``.
+
+    The type policy of every outside document: an int is never a bool, a
+    float is an int or a float and must be finite (``json.loads`` accepts
+    ``NaN`` and ``Infinity``), and nothing is coerced.
+    """
+    if isinstance(value, bool):
+        ok = kind is bool
+    elif kind is float:
+        ok = (isinstance(value, (int, float))
+              and abs(value) <= sys.float_info.max)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise error(f"{what} must be {kind.__name__}, got {value!r:.80}")
+    return value

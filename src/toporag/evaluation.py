@@ -10,7 +10,6 @@ from .config import PipelineConfig
 from .graph_io import QaExample
 from .pipeline import (answer_question, build_embedding_provider,
                        build_llm_client, check_weights, lift_from_config)
-from .retrieval import subcomplex_stats
 
 
 def accuracy_match(predicted: str, golds: tuple[str, ...]) -> bool:
@@ -98,15 +97,15 @@ def evaluate(examples: list[QaExample], config: PipelineConfig,
         complex = lift_from_config(ex.graph, config, provider=provider)
         outcome = answer_question(complex, ex.question, config, llm_client,
                                   provider=provider)
-        stats = subcomplex_stats(outcome.subcomplex)
+        sub = outcome.subcomplex
         records.append(EvalRecord(
             idx=ex.idx,
             predicted=outcome.answer,
             gold=ex.answers,
             correct=match(outcome.answer, ex.answers),
-            n0=stats["n0"],
-            n1=stats["n1"],
-            n2=stats["n2"],
+            n0=len(sub.cells0),
+            n1=len(sub.cells1),
+            n2=len(sub.cells2),
         ))
     aggregate = (sum(r.correct for r in records) / len(records)) if records else 0.0
     return EvalReport(

@@ -13,7 +13,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import IoError, MissingGraphError, ParseError, ValidationError
+from .errors import (IoError, MissingGraphError, ParseError, ValidationError,
+                     parse_json, typed)
 
 VALID_DATASETS = ("explagraphs", "scenegraphs", "webqsp", "custom")
 
@@ -102,31 +103,28 @@ def _compact(raw_nodes: list[tuple[int, str]], raw_edges: list[tuple[int, int, s
     )
 
 
-def _typed(value, kind: type, what: str):
-    """``value`` if it has JSON type ``kind`` (an int is never a bool),
-    else :class:`ParseError`."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ParseError(f"{what} must be {kind.__name__}, got {value!r}")
-    return value
+def check_question(question: str, where: str) -> None:
+    """Reject an empty question with :class:`ValidationError`: the one rule
+    for a question from a fixture, the CLI or the service."""
+    if not question:
+        raise ValidationError(f"{where}: empty question")
 
 
 def _load_json_graph(path: Path) -> TextualGraph:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    data = parse_json(path.read_bytes(), str(path), ParseError)
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
         raise ParseError(f"{path}: expected object with 'nodes' and 'edges'")
-    directed = _typed(data.get("directed", False), bool, f"{path}: directed")
+    directed = typed(data.get("directed", False), bool, f"{path}: directed",
+                     ParseError)
     raw_nodes, raw_edges = [], []
     try:
-        for entry in data["nodes"]:
-            raw_nodes.append((_typed(entry["id"], int, "id"),
-                              _typed(entry["text"], str, "text")))
-        for entry in data["edges"]:
-            raw_edges.append((_typed(entry["src"], int, "src"),
-                              _typed(entry["dst"], int, "dst"),
-                              _typed(entry["text"], str, "text")))
+        for entry in typed(data["nodes"], list, "nodes", ParseError):
+            raw_nodes.append((typed(entry["id"], int, "id", ParseError),
+                              typed(entry["text"], str, "text", ParseError)))
+        for entry in typed(data["edges"], list, "edges", ParseError):
+            raw_edges.append((typed(entry["src"], int, "src", ParseError),
+                              typed(entry["dst"], int, "dst", ParseError),
+                              typed(entry["text"], str, "text", ParseError)))
     except (KeyError, TypeError, ParseError) as exc:
         raise ParseError(f"{path}: malformed node/edge entry: {exc}") from exc
     return _compact(raw_nodes, raw_edges, directed)
@@ -224,20 +222,20 @@ def load_qa_fixture(path: str | Path) -> list[QaExample]:
     for lineno, line in enumerate(questions.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
+        record = parse_json(line, f"{questions}:{lineno}", ParseError)
         try:
-            record = json.loads(line)
-            idx = _typed(record["idx"], int, "idx")
-            question = _typed(record["question"], str, "question")
-            answers = tuple(_typed(a, str, "answer")
-                            for a in _typed(record["answers"], list, "answers"))
-            graph_rel = _typed(record["graph"], str, "graph")
-        except (json.JSONDecodeError, KeyError, TypeError, ParseError) as exc:
+            idx = typed(record["idx"], int, "idx", ParseError)
+            question = typed(record["question"], str, "question", ParseError)
+            answers = tuple(typed(a, str, "answer", ParseError) for a in
+                            typed(record["answers"], list, "answers", ParseError))
+            graph_rel = typed(record["graph"], str, "graph", ParseError)
+            dataset = typed(record.get("dataset", "custom"), str, "dataset",
+                            ParseError)
+        except (KeyError, TypeError, ParseError) as exc:
             raise ParseError(f"{questions}:{lineno}: {exc}") from exc
-        if not question:
-            raise ValidationError(f"{questions}:{lineno}: empty question")
+        check_question(question, f"{questions}:{lineno}")
         if not answers:
             raise ValidationError(f"{questions}:{lineno}: empty answers list")
-        dataset = str(record.get("dataset", "custom"))
         if dataset not in VALID_DATASETS:
             raise ValidationError(f"{questions}:{lineno}: unknown dataset tag {dataset!r}")
         graph_path = root / graph_rel

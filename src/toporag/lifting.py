@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SelfLoopExcluded, ValidationError
+from .errors import DimensionMismatch, ValidationError
 from .graph_io import Edge, TextualGraph
 
 logger = logging.getLogger(__name__)
@@ -65,10 +65,6 @@ class Cell:
     dim: int
     boundary: tuple[int, ...] = ()
     walk: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def is_self_loop(self) -> bool:
-        return self.dim == 1 and len(self.boundary) == 1
 
 
 @dataclass(frozen=True)
@@ -163,14 +159,12 @@ def _bfs_forest(adj: list[list[tuple[int, int]]]):
     return parent, parent_edge, depth, components
 
 
-def connected_components(graph: TextualGraph) -> list[list[int]]:
-    """Vertex lists of the graph's connected components, each sorted."""
-    return [sorted(comp) for comp in _bfs_forest(_adjacency(graph))[3]]
-
-
 def _rooted_forest(graph: TextualGraph, policy: SpanningTreePolicy):
-    """The forest :func:`spanning_tree` describes, rooted as it is grown.
+    """The spanning forest ``policy`` grows, rooted as it is grown.
 
+    DFS and BFS start from the smallest vertex of each component and
+    scan neighbors in edge order; random shuffles the edge order with
+    the policy seed and runs Kruskal. Self-loops never enter the forest.
     Returns ``_bfs_forest``'s tuple, each tree rooted at its smallest
     vertex: DFS records parent, edge and depth as it discovers each
     vertex, and random roots its Kruskal forest by one BFS over the
@@ -225,22 +219,11 @@ def _rooted_forest(graph: TextualGraph, policy: SpanningTreePolicy):
     return parent, parent_edge, depth, components
 
 
-def spanning_tree(graph: TextualGraph,
-                  policy: SpanningTreePolicy = DFS) -> frozenset[int]:
-    """Edge indices of a spanning forest (one tree per component).
-
-    DFS and BFS start from the smallest vertex of each component and
-    scan neighbors in edge order; random shuffles the edge order with
-    the policy seed and runs Kruskal. Self-loops never enter the
-    forest. Always ``|T| == |V| - #components``.
-    """
-    return frozenset(idx for idx in _rooted_forest(graph, policy)[1] if idx != -1)
-
-
 def _fundamental_cycle(forest, edge_index: int,
                        edge: Edge) -> tuple[list[int], list[int]]:
     """Path in a rooted forest from the smaller endpoint of a non-tree
-    edge to the other, closed by that edge: (vertices, edges)."""
+    edge to the other, closed by that edge: (vertices, edges). Both
+    endpoints lie in one tree of the forest."""
     parent, parent_edge, depth = forest[:3]
     start, goal = min(edge.src, edge.dst), max(edge.src, edge.dst)
     up_a, edges_a = [start], []
@@ -255,9 +238,6 @@ def _fundamental_cycle(forest, edge_index: int,
         b = parent[b]
         up_b.append(b)
     while a != b:
-        if parent[a] == -1:
-            raise ValidationError(
-                f"vertices {start} and {goal} are in different components")
         edges_a.append(parent_edge[a])
         a = parent[a]
         up_a.append(a)
@@ -268,40 +248,6 @@ def _fundamental_cycle(forest, edge_index: int,
             edges_a + edges_b[::-1] + [edge_index])
 
 
-def find_fundamental_cycle(graph: TextualGraph, edge_index: int,
-                           tree: frozenset[int]) -> tuple[list[int], list[int]]:
-    """Closed cycle induced by a non-tree edge: tree path plus the edge.
-
-    Returns ``(vertices, edges)`` where ``vertices[0] == vertices[-1]``
-    is the smaller endpoint of the non-tree edge and ``edges[i]`` joins
-    ``vertices[i]`` to ``vertices[i+1]``; the non-tree edge comes last.
-    """
-    if edge_index in tree:
-        raise ValueError(f"edge {edge_index} is a tree edge")
-    edge = graph.edges[edge_index]
-    if edge.src == edge.dst:
-        raise SelfLoopExcluded(
-            f"self-loop edge {edge_index} at vertex {edge.src} induces no 2-cell")
-    forest = _bfs_forest(_adjacency(graph, edge_filter=tree))
-    return _fundamental_cycle(forest, edge_index, edge)
-
-
-def aggregate_cycle_embedding(cycle: tuple[list[int], list[int]],
-                              z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
-    """Mean of the 0- and 1-cell embeddings around a cycle.
-
-    ``z0``/``z1`` are the per-node and per-edge embedding matrices.
-    """
-    vertices, edges = cycle
-    members = [z0[v] for v in vertices[:-1]] + [z1[e] for e in edges]
-    if not members:
-        raise ValueError("empty cycle")
-    stack = np.array(members, dtype=np.float64)
-    if stack.ndim != 2:
-        raise DimensionMismatch("cycle members have mixed dimensions")
-    return stack.mean(axis=0).astype(np.float32)
-
-
 def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
                edge_vecs: list[np.ndarray],
                policy: SpanningTreePolicy = DFS,
@@ -310,9 +256,9 @@ def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
 
     One 0-cell per node, one 1-cell per edge, and one 2-cell per
     non-tree, non-self-loop edge of the forest ``policy`` grows, glued
-    along its fundamental cycle. 2-cell embeddings are the mean of the
-    cycle's 0/1-cell embeddings. Self-loops are logged and skipped: a
-    one-edge cycle cannot bound a regular disk.
+    along its fundamental cycle. A 2-cell's embedding is the mean, taken
+    in float64, of its cycle's 0/1-cell embeddings. Self-loops are
+    logged and skipped: a one-edge cycle cannot bound a regular disk.
     """
     if len(node_vecs) != graph.num_nodes:
         raise ValidationError(
@@ -353,7 +299,8 @@ def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
                               walk=tuple(zip(vertices, cycle))))
         for ecid in cycle:
             coboundary[ecid].append(cid)
-        z[cid] = aggregate_cycle_embedding((vertices, edges), z0, z1)
+        members = [z0[v] for v in vertices[:-1]] + [z1[e] for e in edges]
+        z[cid] = np.array(members, dtype=np.float64).mean(axis=0)
 
     return CellComplex(
         graph=graph,
@@ -374,7 +321,7 @@ def betti1(graph: TextualGraph, count_self_loops: bool = False) -> int:
     Defaults to excluding self-loops so the value matches the number
     of attachable 2-cells; with ``count_self_loops`` each loop adds 1.
     """
-    n_components = len(connected_components(graph))
+    n_components = len(_bfs_forest(_adjacency(graph))[3])
     n_edges = graph.num_edges
     if not count_self_loops:
         n_edges -= sum(1 for e in graph.edges if e.src == e.dst)

@@ -22,7 +22,8 @@ from .retrieval import Subcomplex, retrieve_subcomplex
 def build_embedding_provider(config: PipelineConfig):
     if config.embed_provider == "deterministic":
         return DeterministicProvider(dim=config.embed_dim, seed=config.embed_seed)
-    return HttpEmbeddingProvider(dim=config.embed_dim)
+    return HttpEmbeddingProvider(dim=config.embed_dim,
+                                 timeout=config.llm_timeout_ms / 1000.0)
 
 
 def build_llm_client(config: PipelineConfig,

@@ -21,6 +21,7 @@ parameter, whatever the thread count.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, EmptySubcomplex, IoError,
-                     ValidationError)
+                     ValidationError, parse_json, typed)
 from .retrieval import Subcomplex
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -129,21 +130,33 @@ def _fill_uniform(out: np.ndarray, seed: int, bound: float,
         list(pool.map(fill, edges[:-1], edges[1:]))
 
 
-def _read_header(fh) -> tuple[dict, ReasoningConfig]:
-    """The JSON header line of an open weight file, and its config."""
+_HEADER_FIELDS = (("layers", int), ("state_dim", int), ("activation", str),
+                  ("aggregation", str), ("seed", int), ("proj_dim", int))
+
+
+def _read_header(fh) -> tuple[list[tuple[str, tuple[int, ...]]],
+                              ReasoningConfig]:
+    """The (name, shape) list and the config in the JSON header line of an
+    open weight file; every field is checked by :func:`typed`."""
+    what = "bad weight file header"
+
+    def field(value, kind: type, name: str):
+        return typed(value, kind, f"{what}: {name}", ValidationError)
+
     try:
-        header = json.loads(fh.readline().decode("utf-8"))
-        config = ReasoningConfig(
-            layers=header["layers"],
-            state_dim=header["state_dim"],
-            activation=header["activation"],
-            aggregation=header["aggregation"],
-            seed=header["seed"],
-            proj_dim=header["proj_dim"],
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValidationError(f"bad weight file header: {exc}") from exc
-    return header, config
+        header = field(parse_json(fh.readline(), what, ValidationError), dict,
+                       "line")
+        config = ReasoningConfig(**{key: field(header.get(key), kind, key)
+                                    for key, kind in _HEADER_FIELDS})
+        arrays = []
+        for spec in field(header.get("arrays"), list, "arrays"):
+            spec = field(spec, dict, "arrays entry")
+            shape = field(spec.get("shape"), list, "shape")
+            arrays.append((field(spec.get("name"), str, "name"),
+                           tuple(field(n, int, "shape entry") for n in shape)))
+    except ValueError as exc:  # from ReasoningConfig
+        raise ValidationError(f"{what}: {exc}") from exc
+    return arrays, config
 
 
 def _open_weight_file(path):
@@ -200,24 +213,6 @@ class ReasoningWeights:
             offset += size
         return cls(config=config, params=params)
 
-    @classmethod
-    def identity(cls, config: ReasoningConfig) -> "ReasoningWeights":
-        """UPDATE passes the state through; all messages are zero.
-
-        Combined with identity activation this makes every pass a
-        fixed point, which the locality and fixed-point tests rely on.
-        """
-        d = config.state_dim
-        params = {}
-        for name, shape in _layer_param_specs(config):
-            params[name] = np.zeros(shape, dtype=np.float32)
-        for layer in range(config.layers):
-            params[f"layer{layer}.update.w"][:, :d] = np.eye(d, dtype=np.float32)
-        params["final.update.w"][:, :d] = np.eye(d, dtype=np.float32)
-        params["proj.w"][:, :] = np.eye(config.projection_dim, d,
-                                        dtype=np.float32)
-        return cls(config=config, params=params)
-
     def save(self, path) -> None:
         """JSON header line (config + array shapes) then float32 LE payload."""
         names = [name for name, _ in _layer_param_specs(self.config)]
@@ -240,20 +235,17 @@ class ReasoningWeights:
     @classmethod
     def load(cls, path) -> "ReasoningWeights":
         with _open_weight_file(path) as fh:
-            header, config = _read_header(fh)
+            arrays, config = _read_header(fh)
+            if sorted(arrays) != sorted(_layer_param_specs(config)):
+                raise ValidationError("weight shapes do not match the config")
             params = {}
-            for spec in header["arrays"]:
-                shape = tuple(spec["shape"])
-                count = int(np.prod(shape)) if shape else 1
+            for name, shape in arrays:
+                count = math.prod(shape)
                 payload = fh.read(count * 4)
                 if len(payload) != count * 4:
                     raise ValidationError("truncated weight payload")
-                params[spec["name"]] = np.frombuffer(
+                params[name] = np.frombuffer(
                     payload, dtype="<f4").reshape(shape).copy()
-        expected = {name: shape for name, shape in _layer_param_specs(config)}
-        got = {name: arr.shape for name, arr in params.items()}
-        if {n: tuple(s) for n, s in expected.items()} != got:
-            raise ValidationError("weight shapes do not match the config")
         return cls(config=config, params=params)
 
 

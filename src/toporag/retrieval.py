@@ -45,9 +45,6 @@ class PrizeAssignment:
     """Per-cell prizes and the constants that produced them."""
 
     prize: dict[int, float]
-    cost_2cell: dict[int, float]
-    k0: int
-    k1: int
     c2: float
     c_edge: float
     ranked0: tuple[RankedCell, ...]
@@ -127,17 +124,13 @@ def assign_prizes(ranked0: list[tuple[int, float]],
             prize[cid] = value
             out.append(RankedCell(cell_id=cid, rank=rank, similarity=sim,
                                   prize=value))
-    cost_2cell: dict[int, float] = {}
     for cid in complex.cell_ids(2):
         cell = complex.cells[cid]
         boundary_prize = sum(prize.get(v, 0.0) for v, _ in cell.walk)
         boundary_prize += sum(prize.get(e, 0.0) for e in cell.boundary)
-        cost = len(cell.boundary) * c2
-        cost_2cell[cid] = cost
-        prize[cid] = boundary_prize - cost
+        prize[cid] = boundary_prize - len(cell.boundary) * c2
     return PrizeAssignment(
-        prize=prize, cost_2cell=cost_2cell, k0=k0, k1=k1, c2=c2,
-        c_edge=c_edge, ranked0=tuple(ranked_cells0),
+        prize=prize, c2=c2, c_edge=c_edge, ranked0=tuple(ranked_cells0),
         ranked1=tuple(ranked_cells1),
     )
 
@@ -183,7 +176,7 @@ def selection_objective(complex: CellComplex, assignment: PrizeAssignment,
         if complex.cells[c].dim == 1 and c not in ranked1
     )
     cost = assignment.c_edge * connective
-    cost += sum(assignment.cost_2cell[c] for c in cells
+    cost += sum(len(complex.cells[c].boundary) * assignment.c2 for c in cells
                 if complex.cells[c].dim == 2)
     return total_prize, cost
 
@@ -596,17 +589,6 @@ def solve_subcomplex(complex: CellComplex, assignment: PrizeAssignment,
         for comp in complex.components if not seeds.isdisjoint(comp)
     ]
     return _make_subcomplex(complex, assignment, selections)
-
-
-def subcomplex_stats(sub: Subcomplex) -> dict:
-    """Size and value counters used by the evaluation harness."""
-    return {
-        "n0": len(sub.cells0),
-        "n1": len(sub.cells1),
-        "n2": len(sub.cells2),
-        "total_prize": sub.total_prize,
-        "total_cost": sub.total_cost,
-    }
 
 
 def subcomplex_to_dict(sub: Subcomplex) -> dict:

@@ -13,7 +13,7 @@ weights file is still checked at start, by its header. Endpoints::
 
 Errors: 400 malformed Content-Length, 404 unknown graph_id or path, 411
 missing Content-Length, 413 body over ``MAX_BODY_BYTES``, 422 malformed
-body, 503 when the embedding or generation provider fails.
+body or empty question, 503 when the embedding or generation provider fails.
 
 Connections are persistent (HTTP/1.1): a client's requests share one
 connection and one handler thread. The server closes a connection after
@@ -32,8 +32,9 @@ from pathlib import Path
 
 from .config import PipelineConfig
 from .errors import (IoError, ParseError, ProviderRejected,
-                     ProviderUnavailable, ValidationError)
-from .graph_io import load_graph
+                     ProviderUnavailable, ValidationError, parse_json,
+                     typed)
+from .graph_io import check_question, load_graph
 from .pipeline import (answer_question, build_embedding_provider,
                        build_llm_client, check_weights, lift_from_config,
                        load_or_init_weights, retrieve_for_question)
@@ -54,11 +55,10 @@ def load_manifest(path: str | Path) -> dict[str, str]:
     :class:`ValidationError` on a graph path that is not a string.
     """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_bytes()
     except OSError as exc:
         raise IoError(f"manifest {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # includes JSONDecodeError, UnicodeDecodeError
-        raise ParseError(f"{path}: {exc}") from exc
+    data = parse_json(text, str(path), ParseError)
     graphs = data.get("graphs") if isinstance(data, dict) else None
     if not isinstance(graphs, dict):
         raise ParseError(f"{path}: expected a 'graphs' object")
@@ -164,8 +164,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"unknown path {self.path}"})
 
     def _read_body(self) -> dict | None:
-        """The request's JSON object with string graph_id and question, or
-        None once an error reply has been sent.
+        """The request's JSON object with a string graph_id and a non-empty
+        string question, or None once an error reply has been sent.
 
         The length is checked before anything is read: ``rfile.read`` of a
         negative length reads until the client closes the connection.
@@ -184,14 +184,14 @@ class _Handler(BaseHTTPRequestHandler):
                        close=True)
             return None
         try:
-            data = json.loads(self.rfile.read(int(raw)).decode("utf-8"))
-        except ValueError:  # includes JSONDecodeError, UnicodeDecodeError
-            data = None
-        if not (isinstance(data, dict)
-                and isinstance(data.get("graph_id"), str)
-                and isinstance(data.get("question"), str)):
-            self._send(422, {"error": "body must be a JSON object with "
-                                      "string graph_id and question"})
+            raw_body = self.rfile.read(int(raw))
+            data = typed(parse_json(raw_body, "body", ValidationError), dict,
+                         "body", ValidationError)
+            typed(data.get("graph_id"), str, "graph_id", ValidationError)
+            check_question(typed(data.get("question"), str, "question",
+                                 ValidationError), "question")
+        except ValidationError as exc:
+            self._send(422, {"error": str(exc)})
             return None
         return data
 

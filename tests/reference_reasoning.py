@@ -9,7 +9,7 @@ reproduce bit for bit.
 
 import numpy as np
 
-from toporag.reasoning import _layer_param_specs
+from toporag.reasoning import ReasoningWeights, _layer_param_specs
 
 
 def sequential_initialize(config):
@@ -20,6 +20,22 @@ def sequential_initialize(config):
         name: rng.uniform(-bound, bound, size=shape).astype(np.float32)
         for name, shape in _layer_param_specs(config)
     }
+
+
+def identity_weights(config):
+    """UPDATE passes the state through; all messages are zero.
+
+    Combined with identity activation this makes every pass a fixed
+    point, which the locality and fixed-point tests rely on.
+    """
+    d = config.state_dim
+    params = {name: np.zeros(shape, dtype=np.float32)
+              for name, shape in _layer_param_specs(config)}
+    for layer in range(config.layers):
+        params[f"layer{layer}.update.w"][:, :d] = np.eye(d, dtype=np.float32)
+    params["final.update.w"][:, :d] = np.eye(d, dtype=np.float32)
+    params["proj.w"][:, :] = np.eye(config.projection_dim, d, dtype=np.float32)
+    return ReasoningWeights(config=config, params=params)
 
 
 def _act(x, kind):

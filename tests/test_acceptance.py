@@ -25,8 +25,7 @@ from toporag.evaluation import evaluate, sweep_k2
 from toporag.generation import mock_llm, textualize
 from toporag.graph_io import load_qa_fixture, save_graph
 from toporag.lifting import (BFS, DFS, SpanningTreePolicy, betti1,
-                             connected_components, lift_graph,
-                             verify_cycle_basis)
+                             lift_graph, verify_cycle_basis)
 from toporag.pipeline import retrieve_for_question
 from toporag.reasoning import ReasoningConfig, ReasoningWeights, forward, pool
 from toporag.retrieval import (assign_prizes, is_feasible, retrieve_subcomplex,
@@ -84,7 +83,7 @@ def test_c02_spanning_tree_structural_invariance():
         for policy in POLICIES:
             cx = lift_graph(g, node_vecs, edge_vecs, policy=policy)
             rep = verify_cycle_basis(cx)
-            forest_sizes = sorted(len(c) for c in connected_components(g))
+            forest_sizes = sorted(len(c) for c in cx.components)
             results.append((cx.n2, rep.rank_gf2, forest_sizes))
         assert results[0] == results[1] == results[2]
     report(2, "per-graph |X2| and GF(2) rank invariant across policies", 10,

@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 
 import pytest
 
@@ -11,7 +13,8 @@ from toporag.pipeline import (build_embedding_provider, lift_from_config,
 from toporag.reasoning import (ReasoningConfig, ReasoningWeights, forward,
                                pool, project)
 
-from helpers import FIXTURES, base_url, make_graph, stub_server, triangle
+from helpers import (FIXTURES, StubProviderHandler, base_url, make_graph,
+                     stub_server, triangle)
 
 
 @pytest.fixture
@@ -175,6 +178,49 @@ def test_answer_provider_down_exit_code(tmp_path, capsys, triangle_path,
             assert main(["answer", triangle_path, "--question", "q",
                          "--config", str(cfg_path)]) == 3
             assert "provider" in capsys.readouterr().err
+
+
+def test_embedding_request_times_out_at_llm_timeout_ms(tmp_path, capsys,
+                                                       triangle_path,
+                                                       monkeypatch):
+    release = threading.Event()
+
+    class Stalled(StubProviderHandler):
+        def do_POST(self):
+            release.wait(10)
+
+    cfg = write_small_cfg(tmp_path / "http.cfg", embed_provider="http",
+                          llm_timeout_ms=200)
+    with stub_server(Stalled) as stalled:
+        monkeypatch.setenv("EMBED_API_BASE", base_url(stalled))
+        started = time.perf_counter()
+        try:
+            assert main(["lift", triangle_path, "--config", cfg]) == 3
+        finally:
+            release.set()
+    assert time.perf_counter() - started < 5  # not the 30 s default
+    assert "provider" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_llm_timeout_must_be_positive(tmp_path, capsys, triangle_path, value):
+    cfg = write_small_cfg(tmp_path / "http.cfg", llm_provider="http",
+                          llm_timeout_ms=value)
+    assert main(["answer", triangle_path, "--question", "q",
+                 "--config", cfg]) == 2
+    assert "llm_timeout_ms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["retrieve", "answer"])
+def test_empty_question_is_validation_error(capsys, small_cfg, triangle_path,
+                                            command):
+    assert main([command, triangle_path, "--question", "",
+                 "--config", small_cfg, "--mock-llm", "echo"]) == 2
+    assert "empty question" in capsys.readouterr().err
+    # the library still answers an empty question
+    config = load_config(small_cfg)
+    complex = lift_from_config(load_graph(triangle_path), config)
+    assert retrieve_for_question(complex, "", config).cells0
 
 
 @pytest.mark.parametrize("command,key,prefix", [

@@ -179,3 +179,4 @@ def test_unusable_cache_path_is_io_error(tmp_path, provider, where):
              "directory": tmp_path}[where]
     with pytest.raises(IoError, match=str(cache)):
         cache_get_or_embed(["a"], provider, cache)
+    assert provider.calls == 0  # the path is checked before embedding

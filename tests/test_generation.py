@@ -250,7 +250,8 @@ PROVIDERS = {"embeddings": (ask_embeddings, EMBEDDING_ROWS),
     ({"status": 201}, ProviderUnavailable),
     ({"body": b"<html>busy</html>"}, ProviderUnavailable),
     ({"truncate": True}, ProviderUnavailable),
-], ids=["400", "503", "201", "not-json", "truncated"])
+    ({"body": b"[" * 100_000}, ProviderUnavailable),
+], ids=["400", "503", "201", "not-json", "truncated", "nested-too-deep"])
 def test_failure_table(provider, reply, error):
     ask, body = PROVIDERS[provider]
     with stub_server(**{"body": body, **reply}) as server:

@@ -4,18 +4,32 @@ import numpy as np
 import pytest
 
 from toporag.embedding import DeterministicProvider, embed_texts
-from toporag.errors import SelfLoopExcluded
-from toporag.lifting import (BFS, DFS, SpanningTreePolicy,
-                             aggregate_cycle_embedding, betti1,
-                             connected_components, find_fundamental_cycle,
-                             gf2_rank, lift_graph, spanning_tree,
-                             verify_cycle_basis)
+from toporag.lifting import (BFS, DFS, SpanningTreePolicy, betti1, gf2_rank,
+                             lift_graph, verify_cycle_basis)
 
+import reference_lifting as ref
 from helpers import (k4, lift, make_graph, path3, random_connected_graph,
                      triangle, two_triangles)
 from reference_reasoning import upper_adjacent
 
 POLICIES = [DFS, BFS, SpanningTreePolicy("random", seed=11)]
+
+
+def bare_lift(graph, policy, vec=np.zeros(2, dtype=np.float32)):
+    """The complex with every node and edge embedded as ``vec``."""
+    return lift_graph(graph, [vec] * graph.num_nodes,
+                      [vec] * graph.num_edges, policy=policy)
+
+
+def cycles_of(cx):
+    """Each 2-cell's cycle as (vertices, edge indices), the first vertex
+    repeated at the end."""
+    cycles = []
+    for cid in cx.cell_ids(2):
+        walk = cx.cells[cid].walk
+        cycles.append(([v for v, _ in walk] + [walk[0][0]],
+                       [cx.edge_index(e) for _, e in walk]))
+    return cycles
 
 
 def numpy_gf2_rank(rows_as_sets, n_cols):
@@ -76,20 +90,20 @@ def test_coboundary_is_transpose_of_boundary():
 def test_tree_input_uses_all_edges():
     g = make_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
     for policy in POLICIES:
-        assert spanning_tree(g, policy) == {0, 1, 2, 3}
+        assert bare_lift(g, policy).tree_edges == {0, 1, 2, 3}
 
 
 def test_triangle_dfs_tree_size():
-    t = spanning_tree(triangle(), DFS)
+    t = bare_lift(triangle(), DFS).tree_edges
     assert len(t) == 2
 
 
 def test_two_disjoint_triangles_forest():
     g = two_triangles()
     for policy in POLICIES:
-        t = spanning_tree(g, policy)
+        t = bare_lift(g, policy).tree_edges
         # per-component formula: sum over components of |V_c| - 1
-        assert len(t) == sum(len(c) - 1 for c in connected_components(g))
+        assert len(t) == sum(len(c) - 1 for c in ref.components(g))
         assert len(t) == 4
 
 
@@ -97,15 +111,16 @@ def test_spanning_tree_deterministic():
     rng = random.Random(5)
     g = random_connected_graph(rng, 30, 70)
     for policy in POLICIES:
-        assert spanning_tree(g, policy) == spanning_tree(g, policy)
+        assert bare_lift(g, policy).tree_edges == \
+            bare_lift(g, policy).tree_edges
 
 
 def test_random_policy_reproducible_from_seed():
     rng = random.Random(6)
     g = random_connected_graph(rng, 30, 70)
-    a = spanning_tree(g, SpanningTreePolicy("random", seed=9))
-    b = spanning_tree(g, SpanningTreePolicy("random", seed=9))
-    c = spanning_tree(g, SpanningTreePolicy("random", seed=10))
+    a = bare_lift(g, SpanningTreePolicy("random", seed=9)).tree_edges
+    b = bare_lift(g, SpanningTreePolicy("random", seed=9)).tree_edges
+    c = bare_lift(g, SpanningTreePolicy("random", seed=10)).tree_edges
     assert a == b
     assert a != c or len(g.edges) == len(a)
 
@@ -115,7 +130,7 @@ def test_forest_is_acyclic():
     for _ in range(10):
         g = random_connected_graph(rng, 20, 45)
         for policy in POLICIES:
-            t = spanning_tree(g, policy)
+            t = bare_lift(g, policy).tree_edges
             rows = []
             for idx in t:
                 e = g.edges[idx]
@@ -127,19 +142,20 @@ def test_forest_is_acyclic():
 # --- fundamental cycles ---
 
 def test_triangle_fundamental_cycle():
-    g = triangle()
-    tree = frozenset({0, 1})  # (0,1) and (0,2)
-    vertices, edges = find_fundamental_cycle(g, 2, tree)
+    cx = bare_lift(triangle(), BFS)
+    assert cx.tree_edges == {0, 1}  # (0,1) and (0,2)
+    [(vertices, edges)] = cycles_of(cx)
     assert vertices == [1, 0, 2, 1]
     assert len(edges) == 3
     assert edges[-1] == 2
 
 
 def test_k4_star_tree_cycles_have_length_three():
-    g = k4()
-    star = frozenset({0, 1, 2})  # edges (0,1),(0,2),(0,3)
-    for non_tree in (3, 4, 5):
-        vertices, edges = find_fundamental_cycle(g, non_tree, star)
+    cx = bare_lift(k4(), BFS)
+    assert cx.tree_edges == {0, 1, 2}  # the star (0,1),(0,2),(0,3)
+    cycles = cycles_of(cx)
+    assert [edges[-1] for _, edges in cycles] == [3, 4, 5]
+    for vertices, edges in cycles:
         assert len(edges) == 3
         assert vertices[0] == vertices[-1]
 
@@ -148,11 +164,9 @@ def test_cycle_even_degree_parity():
     rng = random.Random(8)
     for _ in range(20):
         g = random_connected_graph(rng, 15, 35)
-        tree = spanning_tree(g, DFS)
-        for idx in range(g.num_edges):
-            if idx in tree:
-                continue
-            vertices, edges = find_fundamental_cycle(g, idx, tree)
+        cx = bare_lift(g, DFS)
+        assert cx.n2 == g.num_edges - len(cx.tree_edges)
+        for vertices, edges in cycles_of(cx):
             # parity oracle: every vertex is incident to an even number
             # of cycle edges
             degree = {}
@@ -168,10 +182,11 @@ def test_cycle_even_degree_parity():
 
 def test_self_loop_rejected():
     g = make_graph(2, [(0, 1), (1, 1)])
-    tree = spanning_tree(g, DFS)
-    assert tree == {0}
-    with pytest.raises(SelfLoopExcluded):
-        find_fundamental_cycle(g, 1, tree)
+    cx = bare_lift(g, DFS)
+    assert cx.tree_edges == {0}
+    assert cx.n2 == 0
+    with pytest.raises(ValueError):
+        ref.fundamental_cycle(g, 1, cx.tree_edges)
 
 
 # --- 2-cell attachment ---
@@ -215,7 +230,7 @@ def test_self_loop_skipped_with_warning(caplog):
     assert any("self-loop" in r.message for r in caplog.records)
     # the self-loop 1-cell is flagged by its single-entry boundary
     loop_cell = cx.cells[cx.one_cell_id(1)]
-    assert loop_cell.is_self_loop
+    assert loop_cell.dim == 1 and loop_cell.boundary == (1,)
 
 
 def test_two_cell_walks_are_closed():
@@ -275,40 +290,34 @@ def messy_graph(rng):
 
 def test_lift_rooting_matches_public_tree_and_cycles():
     rng = random.Random(13)
-    zero = np.zeros(2, dtype=np.float32)
     for trial in range(60):
         g = messy_graph(rng)
         for policy in (DFS, BFS, SpanningTreePolicy("random", seed=trial)):
-            cx = lift_graph(g, [zero] * g.num_nodes, [zero] * g.num_edges,
-                            policy=policy)
-            assert cx.tree_edges == spanning_tree(g, policy)
-            assert cx.components == tuple(map(tuple, connected_components(g)))
-            # find_fundamental_cycle roots the tree by its own traversal
-            expected = [find_fundamental_cycle(g, idx, cx.tree_edges)
+            cx = bare_lift(g, policy)
+            assert cx.tree_edges == ref.spanning_tree(g, policy)
+            assert cx.components == tuple(map(tuple, ref.components(g)))
+            # the reference finds each tree path by its own search
+            expected = [ref.fundamental_cycle(g, idx, cx.tree_edges)
                         for idx, e in enumerate(g.edges)
                         if idx not in cx.tree_edges and e.src != e.dst]
-            got = []
-            for cid in cx.cell_ids(2):
-                walk = cx.cells[cid].walk
-                got.append(([v for v, _ in walk] + [walk[0][0]],
-                            [cx.edge_index(e) for e in cx.cells[cid].boundary]))
-            assert got == expected
+            assert cycles_of(cx) == expected
+            assert [[cx.edge_index(e) for e in cx.cells[cid].boundary]
+                    for cid in cx.cell_ids(2)] == [e for _, e in expected]
 
 
 # --- cycle embedding aggregation ---
 
 def test_aggregate_identical_vectors_is_identity():
-    z0 = np.tile(np.arange(4, dtype=np.float32), (3, 1))
-    z1 = np.tile(np.arange(4, dtype=np.float32), (3, 1))
-    cycle = ([0, 1, 2, 0], [0, 1, 2])
-    out = aggregate_cycle_embedding(cycle, z0, z1)
+    cx = bare_lift(triangle(), DFS, vec=np.arange(4, dtype=np.float32))
+    out = cx.vector(cx.cell_ids(2)[0])
     assert np.allclose(out, np.arange(4), atol=1e-7)
 
 
 def test_aggregate_two_basis_vectors():
-    z0 = np.array([[1.0, 0.0]], dtype=np.float32)
-    z1 = np.array([[0.0, 1.0]], dtype=np.float32)
-    out = aggregate_cycle_embedding(([0, 0], [0]), z0, z1)
+    g = make_graph(2, [(0, 1), (0, 1)])  # a 2-gon: two vertices, two edges
+    cx = lift_graph(g, [np.array([1.0, 0.0], dtype=np.float32)] * 2,
+                    [np.array([0.0, 1.0], dtype=np.float32)] * 2)
+    out = cx.vector(cx.cell_ids(2)[0])
     assert np.allclose(out, [0.5, 0.5])
 
 
@@ -316,8 +325,8 @@ def test_aggregate_matches_bruteforce_mean():
     rng = np.random.default_rng(0)
     z0 = rng.normal(size=(3, 8)).astype(np.float32)
     z1 = rng.normal(size=(3, 8)).astype(np.float32)
-    cycle = ([0, 1, 2, 0], [0, 1, 2])
-    out = aggregate_cycle_embedding(cycle, z0, z1)
+    cx = lift_graph(triangle(), list(z0), list(z1))
+    out = cx.vector(cx.cell_ids(2)[0])
     expected = np.zeros(8)
     for v in (0, 1, 2):
         expected += z0[v]
@@ -342,13 +351,25 @@ def test_embedding_rows_follow_cell_ids():
         assert np.array_equal(z[:n0], z0)
         assert np.array_equal(z[n0:n0 + n1], z1)
         assert cx.n2 == 3
-        for cid in cx.cell_ids(2):
-            walk = cx.cells[cid].walk
-            cycle = ([v for v, _ in walk] + [walk[0][0]],
-                     [cx.edge_index(e) for _, e in walk])
-            assert np.array_equal(z[cid], aggregate_cycle_embedding(cycle, z0, z1))
+        for cid, cycle in zip(cx.cell_ids(2), cycles_of(cx)):
+            assert np.array_equal(z[cid], ref.cycle_embedding(cycle, z0, z1))
         for cid in range(cx.num_cells):
             assert np.array_equal(cx.vector(cid), z[cid])
+
+
+def test_two_cell_embeddings_equal_reference_mean_on_ladder():
+    rng = random.Random(21)
+    vec_rng = np.random.default_rng(21)
+    for n, m in ((10, 25), (60, 150), (300, 900)):
+        g = random_connected_graph(rng, n, m)
+        z0 = vec_rng.normal(size=(n, 8)).astype(np.float32)
+        z1 = vec_rng.normal(size=(m, 8)).astype(np.float32)
+        for policy in (DFS, BFS, SpanningTreePolicy("random", seed=n)):
+            cx = lift_graph(g, list(z0), list(z1), policy=policy)
+            assert cx.n2 == m - n + 1
+            for cid, cycle in zip(cx.cell_ids(2), cycles_of(cx)):
+                assert np.array_equal(cx.vector(cid),
+                                      ref.cycle_embedding(cycle, z0, z1))
 
 
 # --- homology counting ---

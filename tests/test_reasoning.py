@@ -13,8 +13,8 @@ from toporag.reasoning import (CellStates, ReasoningConfig, ReasoningWeights,
 from toporag.retrieval import Subcomplex
 
 from helpers import k4, lift, make_graph, random_connected_graph, triangle
-from reference_reasoning import (naive_forward, sequential_initialize,
-                                 upper_adjacent)
+from reference_reasoning import (identity_weights, naive_forward,
+                                 sequential_initialize, upper_adjacent)
 
 D = 16
 
@@ -70,7 +70,7 @@ def test_identity_weights_are_fixed_point():
     cfg = config(activation="identity")
     cx = lift(triangle(), dim=D)
     sub = full_subcomplex(cx)
-    weights = ReasoningWeights.identity(cfg)
+    weights = identity_weights(cfg)
     states = init_states(sub, state_dim=D)
     after1 = stage1_pass(states, sub, weights, cfg)
     after2 = stage2_pass(after1, sub, weights, cfg)
@@ -313,14 +313,14 @@ def test_pool_empty_raises():
 
 def test_identity_projection():
     cfg = config(activation="identity")
-    weights = ReasoningWeights.identity(cfg)
+    weights = identity_weights(cfg)
     h = np.linspace(-1, 1, D)
     assert np.allclose(project(h, weights), h)
 
 
 def test_zero_projection():
     cfg = config()
-    weights = ReasoningWeights.identity(cfg)
+    weights = identity_weights(cfg)
     params = {k: v.copy() for k, v in weights.params.items()}
     params["proj.w"] = np.zeros_like(params["proj.w"])
     zeroed = ReasoningWeights(config=cfg, params=params)

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from toporag.embedding import DeterministicProvider, cosine, embed_texts
 from toporag.errors import EmptyCandidates, TooLarge
-from toporag.lifting import connected_components
 from toporag.retrieval import (assign_prizes, enforce_boundary_consistency,
                                is_feasible, retrieve_subcomplex,
                                selection_objective, solve_subcomplex,
-                               subcomplex_stats, subcomplex_to_dict,
-                               topk_cells, topk_two_cells)
+                               subcomplex_to_dict, topk_cells, topk_two_cells)
 
 from helpers import (lift, make_graph, random_connected_graph, triangle,
                      two_triangles)
+from reference_lifting import components
 from reference_pcst import brute_force_subcomplex
 
 
@@ -123,7 +122,10 @@ def test_two_cell_prize_direct_substitution():
     # boundary node prizes {3,2,0}, edge prizes {3,0,0}, cost 3*1
     two_cell = cx.cell_ids(2)[0]
     assert a.prize_of(two_cell) == (3 + 2 + 0) + (3 + 0 + 0) - 3 * 1.0
-    assert a.cost_2cell[two_cell] == 3.0
+    closure = enforce_boundary_consistency(cx, {two_cell})
+    cost_with = selection_objective(cx, a, closure)[1]
+    cost_without = selection_objective(cx, a, closure - {two_cell})[1]
+    assert cost_with - cost_without == 3.0
 
 
 def test_two_cell_prize_all_zero_boundary():
@@ -219,10 +221,11 @@ def test_is_feasible_agrees_with_components_of_selection():
         for c in sorted(cells):
             cell = cx.cells[c]
             if cell.dim == 1:
-                u, v = cell.boundary * 2 if cell.is_self_loop else cell.boundary
+                loop = len(cell.boundary) == 1
+                u, v = cell.boundary * 2 if loop else cell.boundary
                 sub_edges.append((relabel[u], relabel[v]))
         sub_graph = make_graph(len(vertices), sub_edges)
-        expected = len(connected_components(sub_graph)) == 1
+        expected = len(components(sub_graph)) == 1
         assert is_feasible(cx, cells) == expected, (trial, sorted(cells))
         checked[expected] += 1
     assert min(checked.values()) >= 20
@@ -458,8 +461,7 @@ def test_subcomplex_stats_triangle_closure():
     cx = lift(triangle())
     a = make_assignment(cx, [(0, .9), (1, .8), (2, .7)], [], c2=0.1)
     sub = solve_subcomplex(cx, a, topk_two_cells(a, cx, 1), fallback=(0, .9))
-    stats = subcomplex_stats(sub)
-    assert (stats["n0"], stats["n1"], stats["n2"]) == (3, 3, 1)
+    assert (len(sub.cells0), len(sub.cells1), len(sub.cells2)) == (3, 3, 1)
 
 
 def test_retrieve_k2_zero_matches_skeleton_only_path(provider):

@@ -86,16 +86,17 @@ def test_unknown_path_404(service):
 
 
 def test_malformed_body_422(service):
-    resp = requests.post(f"{service}/v1/retrieve", data=b"{not json",
-                         timeout=5)
-    assert resp.status_code == 422
+    for data in (b"{not json", b"[" * 100_000):  # the second nests too deep
+        resp = requests.post(f"{service}/v1/retrieve", data=data, timeout=5)
+        assert resp.status_code == 422
     resp = requests.post(f"{service}/v1/retrieve", json={"graph_id": "scene"},
                          timeout=5)
     assert resp.status_code == 422
     # both fields must be JSON strings: no str() of a list or a number
     for body in ({"graph_id": "scene", "question": ["a"]},
                  {"graph_id": "scene", "question": 5},
-                 {"graph_id": ["scene"], "question": "where is the vase"}):
+                 {"graph_id": ["scene"], "question": "where is the vase"},
+                 {"graph_id": "scene", "question": ""}):
         for path in ("/v1/retrieve", "/v1/answer"):
             resp = requests.post(f"{service}{path}", json=body, timeout=5)
             assert resp.status_code == 422, (path, body)
