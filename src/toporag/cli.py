@@ -98,11 +98,22 @@ def cmd_lift(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    dump = json.loads(Path(args.dump).read_text(encoding="utf-8"))
-    counts = dump["counts"]
-    print(_stats_line(counts["n0"], counts["n1"], counts["n2"],
-                      dump["betti1"], dump["rank_gf2"],
-                      dump["independent"], dump["spans"]))
+    try:
+        text = Path(args.dump).read_bytes()
+    except OSError as exc:
+        raise errors.IoError(f"{args.dump}: {exc.strerror}") from exc
+
+    def field(doc, key: str, kind: type):
+        return errors.typed(doc.get(key), kind, f"{args.dump}: {key}",
+                            errors.ParseError)
+
+    dump = errors.typed(errors.parse_json(text, args.dump, errors.ParseError),
+                        dict, args.dump, errors.ParseError)
+    counts = field(dump, "counts", dict)
+    print(_stats_line(*(field(counts, key, int) for key in ("n0", "n1", "n2")),
+                      *(field(dump, key, int) for key in ("betti1", "rank_gf2")),
+                      *(field(dump, key, bool)
+                        for key in ("independent", "spans"))))
     return EXIT_OK
 
 

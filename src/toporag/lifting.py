@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import random
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,106 +118,82 @@ class CellComplex:
         return self.embeddings[cell_id]
 
 
-def _adjacency(graph: TextualGraph,
-               edge_filter=None) -> list[list[tuple[int, int]]]:
+def _adjacency(graph: TextualGraph) -> list[list[tuple[int, int]]]:
     """Per-vertex list of (edge index, other endpoint), in edge order."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.num_nodes)]
     for idx, edge in enumerate(graph.edges):
-        if edge_filter is not None and idx not in edge_filter:
-            continue
         adj[edge.src].append((idx, edge.dst))
         if edge.dst != edge.src:
             adj[edge.dst].append((idx, edge.src))
     return adj
 
 
-def _bfs_forest(adj: list[list[tuple[int, int]]]):
-    """Breadth-first spanning forest over an ``_adjacency`` list.
+def grow_forest(roots, neighbors, depth_first: bool = False):
+    """The spanning forest a traversal grows from each unreached root.
 
-    Each tree is rooted at the smallest vertex not yet reached, and
-    adjacency lists are scanned in edge order. Returns ``(parent,
-    parent_edge, depth, components)``: per-vertex parent vertex and the
-    edge index joining them (-1 at roots), depth below the root, and
-    each component's vertices in visiting order.
+    ``neighbors(v)`` gives ``(edge, w)`` pairs in scan order. A vertex is
+    taken when it leaves a deque of (vertex, parent, edge) entries:
+    depth-first pops the end and pushes neighbors in reverse, the order
+    of a recursive DFS; breadth-first pops the front, the order of a
+    queue BFS. State is keyed by the vertices reached, so a call costs
+    what it reaches. Returns ``(parent, parent_edge, depth, trees)``:
+    the parent vertex and joining edge of every reached non-root vertex
+    (both dicts in visiting order), every reached vertex's depth below
+    its root, and each tree's vertices in visiting order.
     """
-    n = len(adj)
-    parent, parent_edge, depth = [-1] * n, [-1] * n, [0] * n
-    seen = [False] * n
-    components = []
-    for root in range(n):
-        if seen[root]:
+    parent, parent_edge, depth, trees = {}, {}, {}, []
+    for root in roots:
+        if root in depth:
             continue
-        seen[root] = True
-        comp = [root]
-        for v in comp:  # comp is the queue: the loop reaches appended vertices
-            for idx, w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w], parent_edge[w] = v, idx
-                    depth[w] = depth[v] + 1
-                    comp.append(w)
-        components.append(comp)
-    return parent, parent_edge, depth, components
+        tree = []
+        pending = deque([(root, None, None)])
+        take = pending.pop if depth_first else pending.popleft
+        while pending:
+            v, p, e = take()
+            if v in depth:
+                continue
+            if p is None:
+                depth[v] = 0
+            else:
+                parent[v], parent_edge[v], depth[v] = p, e, depth[p] + 1
+            tree.append(v)
+            step = [(w, v, edge) for edge, w in neighbors(v) if w not in depth]
+            pending.extend(reversed(step) if depth_first else step)
+        trees.append(tree)
+    return parent, parent_edge, depth, trees
 
 
 def _rooted_forest(graph: TextualGraph, policy: SpanningTreePolicy):
-    """The spanning forest ``policy`` grows, rooted as it is grown.
+    """The spanning forest ``policy`` grows, as ``grow_forest`` returns it,
+    each tree rooted at its smallest vertex.
 
-    DFS and BFS start from the smallest vertex of each component and
-    scan neighbors in edge order; random shuffles the edge order with
-    the policy seed and runs Kruskal. Self-loops never enter the forest.
-    Returns ``_bfs_forest``'s tuple, each tree rooted at its smallest
-    vertex: DFS records parent, edge and depth as it discovers each
-    vertex, and random roots its Kruskal forest by one BFS over the
-    tree edges.
+    DFS and BFS scan neighbors in edge order; random runs Kruskal over
+    the edge order shuffled by the policy seed, then roots that forest
+    by a BFS over its tree edges. Self-loops never enter the forest.
     """
-    if policy.kind == "random":
-        order = list(range(graph.num_edges))
-        random.Random(policy.seed).shuffle(order)
-        root = list(range(graph.num_nodes))
-
-        def find(x: int) -> int:
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
-        tree = set()
-        for idx in order:
-            edge = graph.edges[idx]
-            ru, rv = find(edge.src), find(edge.dst)
-            if ru != rv:
-                root[ru] = rv
-                tree.add(idx)
-        return _bfs_forest(_adjacency(graph, edge_filter=tree))
-
     adj = _adjacency(graph)
-    if policy.kind == "bfs":
-        return _bfs_forest(adj)
-    n = len(adj)
-    parent, parent_edge, depth = [-1] * n, [-1] * n, [0] * n
-    seen = [False] * n
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        stack = [(start, iter(adj[start]))]
-        while stack:
-            v, neighbors = stack[-1]
-            for idx, w in neighbors:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w], parent_edge[w] = v, idx
-                    depth[w] = depth[v] + 1
-                    comp.append(w)
-                    stack.append((w, iter(adj[w])))
-                    break
-            else:
-                stack.pop()
-        components.append(comp)
-    return parent, parent_edge, depth, components
+    if policy.kind != "random":
+        return grow_forest(range(graph.num_nodes), adj.__getitem__,
+                           depth_first=policy.kind == "dfs")
+    order = list(range(graph.num_edges))
+    random.Random(policy.seed).shuffle(order)
+    root = list(range(graph.num_nodes))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    tree = set()
+    for idx in order:
+        edge = graph.edges[idx]
+        ru, rv = find(edge.src), find(edge.dst)
+        if ru != rv:
+            root[ru] = rv
+            tree.add(idx)
+    return grow_forest(range(graph.num_nodes), lambda v: [
+        (idx, w) for idx, w in adj[v] if idx in tree])
 
 
 def _fundamental_cycle(forest, edge_index: int,
@@ -229,21 +206,15 @@ def _fundamental_cycle(forest, edge_index: int,
     up_a, edges_a = [start], []
     up_b, edges_b = [goal], []
     a, b = start, goal
-    while depth[a] > depth[b]:
-        edges_a.append(parent_edge[a])
-        a = parent[a]
-        up_a.append(a)
-    while depth[b] > depth[a]:
-        edges_b.append(parent_edge[b])
-        b = parent[b]
-        up_b.append(b)
-    while a != b:
-        edges_a.append(parent_edge[a])
-        a = parent[a]
-        up_a.append(a)
-        edges_b.append(parent_edge[b])
-        b = parent[b]
-        up_b.append(b)
+    while a != b:  # climb the deeper side; at equal depth, either
+        if depth[a] >= depth[b]:
+            edges_a.append(parent_edge[a])
+            a = parent[a]
+            up_a.append(a)
+        else:
+            edges_b.append(parent_edge[b])
+            b = parent[b]
+            up_b.append(b)
     return (up_a + up_b[-2::-1] + [start],
             edges_a + edges_b[::-1] + [edge_index])
 
@@ -272,7 +243,7 @@ def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
 
     n0, n1 = graph.num_nodes, graph.num_edges
     forest = _rooted_forest(graph, policy)
-    tree = frozenset(idx for idx in forest[1] if idx != -1)
+    tree = frozenset(forest[1].values())
     # every non-loop edge outside the forest (which holds no loop) is a 2-cell
     n2 = sum(edge.src != edge.dst for edge in graph.edges) - len(tree)
     z = np.empty((n0 + n1 + n2, dims.pop()[0] if dims else 0), dtype=np.float32)
@@ -321,7 +292,7 @@ def betti1(graph: TextualGraph, count_self_loops: bool = False) -> int:
     Defaults to excluding self-loops so the value matches the number
     of attachable 2-cells; with ``count_self_loops`` each loop adds 1.
     """
-    n_components = len(_bfs_forest(_adjacency(graph))[3])
+    n_components = len(_rooted_forest(graph, BFS)[3])
     n_edges = graph.num_edges
     if not count_self_loops:
         n_edges -= sum(1 for e in graph.edges if e.src == e.dst)

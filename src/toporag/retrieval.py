@@ -20,14 +20,13 @@ with ``cost(x2) = |boundary edges| * C2``.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import cosine
 from .errors import EmptyCandidates
-from .lifting import CellComplex
+from .lifting import CellComplex, grow_forest
 
 PRIZE_INDEXING = ("alg3", "eq14")
 
@@ -192,21 +191,12 @@ def _neighbors(complex: CellComplex, v: int):
 
 def _selection_certificate(complex: CellComplex,
                            cells: frozenset[int]) -> tuple[int, ...]:
-    """Spanning 1-cells of the selection's 1-skeleton (BFS order)."""
-    seen, spanning = set(), []
-    for root in sorted(c for c in cells if complex.cells[c].dim == 0):
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for ecid, w in _neighbors(complex, v):
-                if ecid in cells and w not in seen:
-                    seen.add(w)
-                    spanning.append(ecid)
-                    queue.append(w)
-    return tuple(spanning)
+    """Spanning 1-cells of the selection's 1-skeleton: the parent edges
+    of the BFS trees grown from its sorted vertices, in visiting order."""
+    roots = sorted(c for c in cells if complex.cells[c].dim == 0)
+    forest = grow_forest(roots, lambda v: [
+        (ecid, w) for ecid, w in _neighbors(complex, v) if ecid in cells])
+    return tuple(forest[1].values())
 
 
 def is_feasible(complex: CellComplex, cells: frozenset[int]) -> bool:
@@ -358,48 +348,31 @@ def _best_pruned_tree(vertices: tuple[int, ...],
         adj[v].append((eid, u, cost))
 
     best = None  # ((-value, n_cells, vertex_tuple), (vset, eset))
-    seen: set[int] = set()
-    for component_root in vertices:
-        if component_root in seen:
-            continue
-        # iterative DFS rooting; order has children after parents
-        order = [(component_root, -1, 0.0)]
-        seen.add(component_root)
-        stack = [component_root]
-        parent = {component_root: (-1, -1, 0.0)}
-        while stack:
-            v = stack.pop()
-            for eid, w, cost in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = (v, eid, cost)
-                    order.append((w, v, cost))
-                    stack.append(w)
-
+    parent, _, _, trees = grow_forest(vertices, lambda v: [
+        (eid, w) for eid, w, _ in adj[v]])
+    for tree in trees:  # each lists parents before children
         # down[v]: pruned value of v's subtree under the initial rooting
         down: dict[int, float] = {}
-        for v, par, cost in reversed(order):
+        for v in reversed(tree):
             value = node_prize.get(v, 0.0)
             for _, w, ccost in adj[v]:
-                if w != par and parent[w][0] == v:
+                if parent.get(w) == v:
                     value += max(0.0, down[w] - ccost)
             down[v] = value
 
         # uc[v]: contribution arriving from the parent side when v is
         # treated as root; g(v) is then the full rerooted value
-        uc: dict[int, float] = {component_root: 0.0}
+        uc: dict[int, float] = {tree[0]: 0.0}
         g: dict[int, float] = {}
-        for v, par, cost in order:
-            base = node_prize.get(v, 0.0) + uc[v]
-            total = base
+        for v in tree:
+            total = node_prize.get(v, 0.0) + uc[v]
             for _, w, ccost in adj[v]:
-                if w != par and parent[w][0] == v:
+                if parent.get(w) == v:
                     total += max(0.0, down[w] - ccost)
             g[v] = total
             for _, w, ccost in adj[v]:
-                if w != par and parent[w][0] == v:
-                    exclude_w = total - max(0.0, down[w] - ccost)
-                    uc[w] = max(0.0, exclude_w - ccost)
+                if parent.get(w) == v:
+                    uc[w] = max(0.0, total - max(0.0, down[w] - ccost) - ccost)
 
         root = min(g, key=lambda v: (-g[v], v))
         vset, eset = {root}, set()
@@ -409,7 +382,7 @@ def _best_pruned_tree(vertices: tuple[int, ...],
             for eid, w, ccost in adj[v]:
                 if w == came_from:
                     continue
-                side = down[w] if parent[w][0] == v else g[w] - max(
+                side = down[w] if parent.get(w) == v else g[w] - max(
                     0.0, down[v] - ccost)
                 if side - ccost > _EPS:
                     vset.add(w)

@@ -261,10 +261,10 @@ class _DrainingServer(ThreadingHTTPServer):
                     pass
         super().server_close()
 
-    def serve_forever(self, poll_interval: float = 0.05) -> None:
-        # shutdown() returns only once the accept loop next polls its flag;
-        # socketserver's 0.5 s default made every stop take half a second
-        super().serve_forever(poll_interval)
+    def serve_forever(self) -> None:
+        # shutdown() waits for the accept loop's next poll of its flag: a
+        # 5 ms poll keeps each stop short, for under 1% of a core idle
+        super().serve_forever(0.005)
 
 
 def make_server(config: PipelineConfig, graph_paths: dict[str, str],

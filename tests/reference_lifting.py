@@ -1,10 +1,10 @@
 """Second implementation of the lift's spanning forest, components,
 fundamental cycles and 2-cell embeddings, for tests to compare against.
 
-Shares no code with :mod:`toporag.lifting`: a recursive DFS, a deque
-BFS, Kruskal and the component lists over relabelled classes, a tree
-path found by a fresh search over the given tree edges, and a cycle
-mean summed one row at a time.
+Shares no code with :mod:`toporag.lifting`: a recursive DFS and a deque
+BFS from any roots, Kruskal and the component lists over relabelled
+classes, a tree path found by a fresh search over the given tree edges,
+and a cycle mean summed one row at a time.
 """
 
 import random
@@ -48,30 +48,46 @@ def spanning_tree(graph, policy):
             if _union(label, graph.edges[idx].src, graph.edges[idx].dst):
                 tree.add(idx)
         return frozenset(tree)
-    adj, seen = _neighbors(graph), set()
+    return frozenset(forest(_neighbors(graph), range(graph.num_nodes),
+                            policy.kind == "dfs")[1].values())
 
-    def dfs(v):
-        seen.add(v)
+
+def forest(adj, roots, depth_first):
+    """The forest a recursive DFS or a deque BFS grows over ``adj`` (per
+    vertex (edge, other endpoint) pairs) from each unreached root in turn.
+
+    Returns ``(parent, parent_edge, depth, trees)``: dicts filled as each
+    vertex is reached, roots absent from the first two, and each tree's
+    vertices in visiting order.
+    """
+    parent, parent_edge, depth, trees = {}, {}, {}, []
+
+    def reach(w, v, idx):
+        parent[w], parent_edge[w], depth[w] = v, idx, depth[v] + 1
+
+    def dfs(v, tree):
+        tree.append(v)
         for idx, w in adj[v]:
-            if w not in seen:
-                tree.add(idx)
-                dfs(w)
+            if w not in depth:
+                reach(w, v, idx)
+                dfs(w, tree)
 
-    def bfs(root):
-        seen.add(root)
+    def bfs(root, tree):
         queue = deque([root])
         while queue:
             v = queue.popleft()
+            tree.append(v)
             for idx, w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    tree.add(idx)
+                if w not in depth:
+                    reach(w, v, idx)
                     queue.append(w)
 
-    for root in range(graph.num_nodes):
-        if root not in seen:
-            (dfs if policy.kind == "dfs" else bfs)(root)
-    return frozenset(tree)
+    for root in roots:
+        if root not in depth:
+            depth[root] = 0
+            trees.append([])
+            (dfs if depth_first else bfs)(root, trees[-1])
+    return parent, parent_edge, depth, trees
 
 
 def components(graph):

@@ -66,6 +66,22 @@ def test_lift_dump_and_stats_roundtrip(tmp_path, capsys, small_cfg,
     assert capsys.readouterr().out.strip() == lift_line
 
 
+@pytest.mark.parametrize("text", [
+    None,  # no file
+    "{not json",
+    '{"counts": {}}',
+    json.dumps({"counts": {"n0": "4", "n1": 4, "n2": 1}, "betti1": 1,
+                "rank_gf2": 1, "independent": 1, "spans": True}),
+], ids=["missing", "malformed", "no-counts", "ill-typed"])
+def test_stats_refuses_a_bad_dump(tmp_path, capsys, text):
+    dump = tmp_path / "dump.json"
+    if text is not None:
+        dump.write_text(text)
+    assert main(["stats", str(dump)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_retrieve_k2_zero_has_no_two_cells(capsys, small_cfg, triangle_path):
     assert main(["retrieve", triangle_path, "--question", "node 0",
                  "--config", small_cfg, "--k2", "0"]) == 0

@@ -5,7 +5,7 @@ import pytest
 
 from toporag.embedding import DeterministicProvider, embed_texts
 from toporag.lifting import (BFS, DFS, SpanningTreePolicy, betti1, gf2_rank,
-                             lift_graph, verify_cycle_basis)
+                             grow_forest, lift_graph, verify_cycle_basis)
 
 import reference_lifting as ref
 from helpers import (k4, lift, make_graph, path3, random_connected_graph,
@@ -303,6 +303,26 @@ def test_lift_rooting_matches_public_tree_and_cycles():
             assert cycles_of(cx) == expected
             assert [[cx.edge_index(e) for e in cx.cells[cid].boundary]
                     for cid in cx.cell_ids(2)] == [e for _, e in expected]
+
+
+def test_grow_forest_matches_reference():
+    """Both orders, from every vertex over every edge (the lift's use) and
+    from a sorted vertex subset over an edge subset (the certificate's)."""
+    rng = random.Random(29)
+    for _ in range(80):
+        g = messy_graph(rng)
+        every = range(g.num_nodes)
+        subset = sorted(rng.sample(every, rng.randint(0, g.num_nodes)))
+        kept = {idx for idx in range(g.num_edges) if rng.random() < 0.7}
+        for roots, adj in ((every, ref._neighbors(g)),
+                           (subset, ref._neighbors(g, kept))):
+            for depth_first in (True, False):
+                got = grow_forest(roots, adj.__getitem__, depth_first)
+                want = ref.forest(adj, roots, depth_first)
+                # the dicts are compared in visiting order too
+                assert [list(d.items()) for d in got[:3]] == \
+                    [list(d.items()) for d in want[:3]]
+                assert got[3] == want[3]
 
 
 # --- cycle embedding aggregation ---

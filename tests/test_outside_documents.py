@@ -168,11 +168,30 @@ def test_ill_typed_weight_header_is_refused(tmp_path, triangle_path, change):
                  "--artifacts-dir", str(tmp_path / "out")]) == 2
 
 
+DUMP = {"counts": {"n0": 3, "n1": 3, "n2": 1}, "betti1": 1, "rank_gf2": 1,
+        "independent": True, "spans": True}
+DUMP_PLACES = [((), dict, False), (("counts",), dict, True)]
+DUMP_PLACES += [(("counts", key), int, True) for key in ("n0", "n1", "n2")]
+DUMP_PLACES += [((key,), kind, True) for key, kind in (
+    ("betti1", int), ("rank_gf2", int), ("independent", bool),
+    ("spans", bool))]
+
+
+@SETTINGS
+@given(change=one_change(DUMP_PLACES))
+@example(change=(("counts", "n0"), "4"))
+@example(change=(("independent",), 1))
+def test_ill_typed_complex_dump_is_refused(tmp_path, change):
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(put(DUMP, *change)))
+    assert main(["stats", str(path)]) == 2
+
+
 DEEP = "[" * 100_000  # nests past the parser's recursion limit
 
 
 @pytest.mark.parametrize("surface", ["config", "graph", "qa", "manifest",
-                                     "weights", "cache"])
+                                     "weights", "cache", "dump"])
 def test_too_deeply_nested_document_is_refused(tmp_path, triangle_path,
                                                surface):
     doc = tmp_path / "doc"
@@ -186,6 +205,8 @@ def test_too_deeply_nested_document_is_refused(tmp_path, triangle_path,
     elif surface == "qa":
         (tmp_path / "questions.jsonl").write_text(DEEP + "\n")
         argv = ["eval", str(tmp_path), "--config", cfg]
+    elif surface == "dump":
+        argv = ["stats", str(doc)]
     elif surface == "manifest":
         argv = ["serve", "--manifest", str(doc), "--config", cfg,
                 "--port", "0"]
