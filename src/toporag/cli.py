@@ -81,6 +81,14 @@ def _complex_dump(complex, report, cache: str = "") -> dict:
     }
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8; an ``OSError`` is an ``IoError``."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise errors.IoError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def cmd_lift(args) -> int:
     config = _load_pipeline_config(args)
     graph = load_graph(args.graph, format=args.format)
@@ -90,10 +98,9 @@ def cmd_lift(args) -> int:
                       betti1(graph), report.rank_gf2,
                       report.independent, report.spans))
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(_complex_dump(complex, report, cache=config.embed_cache),
-                       indent=1) + "\n",
-            encoding="utf-8")
+        _write_text(Path(args.out), json.dumps(
+            _complex_dump(complex, report, cache=config.embed_cache),
+            indent=1) + "\n")
     return EXIT_OK
 
 
@@ -147,14 +154,15 @@ def cmd_answer(args) -> int:
     print(outcome.answer)
     if args.artifacts_dir:
         art = Path(args.artifacts_dir)
-        art.mkdir(parents=True, exist_ok=True)
-        (art / "prompt.txt").write_text(outcome.bundle.prompt, encoding="utf-8")
-        (art / "soft_prompt.json").write_text(
-            json.dumps({"projected": [float(x) for x in outcome.projected]}),
-            encoding="utf-8")
-        (art / "subcomplex.json").write_text(
-            json.dumps(subcomplex_to_dict(outcome.subcomplex), indent=1),
-            encoding="utf-8")
+        try:
+            art.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise errors.IoError(f"cannot create {art}: {exc.strerror}") from exc
+        _write_text(art / "prompt.txt", outcome.bundle.prompt)
+        _write_text(art / "soft_prompt.json", json.dumps(
+            {"projected": [float(x) for x in outcome.projected]}))
+        _write_text(art / "subcomplex.json", json.dumps(
+            subcomplex_to_dict(outcome.subcomplex), indent=1))
     return EXIT_OK
 
 
@@ -170,8 +178,7 @@ def cmd_eval(args) -> int:
         print(format_report(report))
         payload = report.to_dict()
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=1) + "\n",
-                                  encoding="utf-8")
+        _write_text(Path(args.out), json.dumps(payload, indent=1) + "\n")
     return EXIT_OK
 
 

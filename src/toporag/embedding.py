@@ -20,7 +20,6 @@ import threading
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .errors import (CacheCorrupt, DimensionMismatch, IoError,
                      ProviderRejected, ProviderUnavailable, ValidationError,
@@ -101,6 +100,8 @@ def post_json(url: str, payload: dict, api_key: str, timeout: float):
     transport fault (no connection, a timeout, a truncated body, a bad
     URL) raise :class:`ProviderUnavailable`.
     """
+    import requests  # only a process that talks HTTP pays for loading it
+
     headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
     try:
         resp = requests.post(url, json=payload, headers=headers,

@@ -11,8 +11,12 @@ or mean, with the empty set contributing a zero message.
 Weights are stored as float32, in one contiguous buffer with every
 parameter a view into it, so the weight file round-trips bit-exactly.
 States and affine maps are computed in float64: each weight matrix is
-cast a block of rows at a time inside the matmul, so no float64 copy of
-a whole matrix is ever held. The seeded initialisation fills the buffer
+cast in 128-row blocks, each block cast and multiplied by one of up to
+two worker threads, so no float64 copy of a whole matrix is ever held.
+While the blocks run, the OpenBLAS that numpy loaded is held to one
+thread, so its own thread does not compete with the second worker for
+a core; where no way to set its thread count is found, one worker runs
+the blocks in order. The seeded initialisation fills the buffer
 from several threads, each advancing its own PCG64 stream to its slice;
 the result is bit-identical to one sequential ``uniform`` draw per
 parameter, whatever the thread count.
@@ -20,9 +24,13 @@ parameter, whatever the thread count.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,7 +45,15 @@ AGGREGATIONS = ("sum", "mean")
 
 _INIT_CHUNK = 1 << 17  # draws per chunk: 1 MB of float64 scratch per thread
 _MAX_INIT_WORKERS = 4
-_CAST_ROWS = 256  # weight rows cast to float64 at a time: <= 8 MB at d = 1024
+_CAST_ROWS = 128  # weight rows cast to float64 per block: 4 MB at d = 1024
+_MAX_CAST_WORKERS = 2
+# (get, set) thread-count symbols: numpy 2.x wheels, older wheels, system
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_blas_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -307,13 +323,81 @@ class _Incidence:
                               dtype=np.intp).reshape(-1, 3)
 
 
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded,
+    or ``None`` when none is found.
+
+    The library is looked up among the shared objects mapped into this
+    process, so the one numpy links against is the one adjusted.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            mapped = [line.split(maxsplit=5) for line in fh]
+    except OSError:  # no /proc: the serial loop
+        return None
+    paths = {fields[5].rstrip("\n") for fields in mapped if len(fields) == 6
+             and "blas" in os.path.basename(fields[5])}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@functools.cache
+def _cast_pool() -> ThreadPoolExecutor:
+    """The workers of :func:`_linear`: ``min(2, usable CPUs)``, or one
+    when the BLAS thread count cannot be set."""
+    workers = min(_MAX_CAST_WORKERS, _usable_cpus()) if _blas_threads() else 1
+    return ThreadPoolExecutor(max_workers=workers,
+                              thread_name_prefix="toporag-cast")
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold the loaded OpenBLAS to one thread, restoring its count after.
+
+    The lock keeps one caller's restore from undoing another's hold.
+    """
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _blas_lock:
+        threads = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(threads)
+
+
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w.T + b`` in float64, casting float32 ``w`` a row block at a time."""
+    """``x @ w.T + b`` in float64, casting float32 ``w`` a row block at a time.
+
+    Each block is cast and multiplied by one worker of :func:`_cast_pool`,
+    so at most one float64 block per worker is alive. OpenBLAS is held to
+    one thread while they run: its own second thread would contend with
+    the second worker for the same core.
+    """
     out = np.empty(x.shape[:-1] + (w.shape[0],))
-    for lo in range(0, w.shape[0], _CAST_ROWS):
+
+    def block(lo: int) -> None:
         hi = lo + _CAST_ROWS
-        # unnamed, the cast block is freed before the next one is made
+        # unnamed, the cast block is freed as soon as its product is stored
         out[..., lo:hi] = x @ w[lo:hi].astype(np.float64).T
+
+    with _one_blas_thread():
+        list(_cast_pool().map(block, range(0, w.shape[0], _CAST_ROWS)))
     out += b
     return out
 

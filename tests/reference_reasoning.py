@@ -4,7 +4,8 @@ Kept independent of the package implementation: plain dict states and
 explicit Python loops straight over the complex's incidence fields,
 with upper adjacency defined here from the boundary and coboundary.
 Also the sequential weight initializer the chunked, threaded one must
-reproduce bit for bit.
+reproduce bit for bit, and the serial block-cast affine map the pooled
+one must reproduce bit for bit.
 """
 
 import numpy as np
@@ -20,6 +21,16 @@ def sequential_initialize(config):
         name: rng.uniform(-bound, bound, size=shape).astype(np.float32)
         for name, shape in _layer_param_specs(config)
     }
+
+
+def serial_linear(x, w, b, rows=256):
+    """``x @ w.T + b`` in float64 on the calling thread, casting float32
+    ``w`` to float64 ``rows`` rows at a time, in row order."""
+    out = np.empty(x.shape[:-1] + (w.shape[0],))
+    for lo in range(0, w.shape[0], rows):
+        out[..., lo:lo + rows] = x @ w[lo:lo + rows].astype(np.float64).T
+    out += b
+    return out
 
 
 def identity_weights(config):

@@ -273,6 +273,29 @@ def test_unusable_embed_cache_is_io_error(tmp_path, capsys, triangle_path,
     assert err.startswith("error: ") and str(cache) in err
 
 
+@pytest.mark.parametrize("case", ["lift", "eval", "answer-mkdir",
+                                  "answer-write"])
+def test_unwritable_output_is_io_error(tmp_path, capsys, small_cfg,
+                                       triangle_path, case):
+    missing = tmp_path / "nope" / "out.json"
+    blocker = tmp_path / "blocker"  # a file where a directory should be
+    blocker.write_text("")
+    art = tmp_path / "artifacts"
+    (art / "prompt.txt").mkdir(parents=True)  # a directory where a file goes
+    answer = ["answer", triangle_path, "--question", "which node?",
+              "--mock-llm", "echo", "--artifacts-dir"]
+    args, path = {
+        "lift": (["lift", triangle_path, "--out", str(missing)], missing),
+        "eval": (["eval", str(FIXTURES / "explagraphs_mini"), "--mock-llm",
+                  "lookup", "--out", str(missing)], missing),
+        "answer-mkdir": (answer + [str(blocker / "art")], blocker / "art"),
+        "answer-write": (answer + [str(art)], art / "prompt.txt"),
+    }[case]
+    assert main(args + ["--config", small_cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_validation_exit_code(tmp_path, capsys, small_cfg):
     bad = tmp_path / "bad.json"
     bad.write_text('{"nodes": [{"id": 0, "text": "a"}], '

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toporag
 from toporag.embedding import (DeterministicProvider, HttpEmbeddingProvider,
                                cache_get_or_embed, cosine, embed_texts)
 from toporag.errors import (CacheCorrupt, DimensionMismatch, IoError,
@@ -180,3 +186,21 @@ def test_unusable_cache_path_is_io_error(tmp_path, provider, where):
     with pytest.raises(IoError, match=str(cache)):
         cache_get_or_embed(["a"], provider, cache)
     assert provider.calls == 0  # the path is checked before embedding
+
+
+def test_requests_loads_only_with_an_http_provider():
+    # a subprocess, since this one has imported requests for other tests
+    src = str(Path(toporag.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, toporag.cli, toporag.service\n"
+            "loaded = 'requests' in sys.modules\n"
+            "from toporag.embedding import post_json\n"
+            "try:\n"
+            "    post_json('http://[::1', {}, '', 1.0)\n"
+            "except toporag.errors.ProviderUnavailable:\n"
+            "    pass\n"
+            "print(loaded, 'requests' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True"]

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from toporag.retrieval import Subcomplex
 
 from helpers import k4, lift, make_graph, random_connected_graph, triangle
 from reference_reasoning import (identity_weights, naive_forward,
-                                 sequential_initialize, upper_adjacent)
+                                 sequential_initialize, serial_linear,
+                                 upper_adjacent)
 
 D = 16
 
@@ -446,3 +448,103 @@ def test_forward_holds_no_float64_weight_copy():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"forward peaked at {peak / 2**20:.1f} MB"
+
+
+# --- row blocks on a pool, BLAS held to one thread ---
+
+def held_serial_linear(x, w, b):
+    """The serial reference over the same blocks and BLAS thread count."""
+    with reasoning._one_blas_thread():
+        return serial_linear(x, w, b, rows=reasoning._CAST_ROWS)
+
+
+@pytest.fixture
+def cast_pool(request, monkeypatch):
+    """Run ``_linear``'s blocks on a pool of ``request.param`` workers."""
+    executor = ThreadPoolExecutor(max_workers=request.param)
+    monkeypatch.setattr(reasoning, "_cast_pool", lambda: executor)
+    yield executor
+    executor.shutdown()
+
+
+@pytest.mark.parametrize("cast_pool", [1, 2], indirect=True)
+@pytest.mark.parametrize("rows", [1, 127, 128, 129, 300, 1024])
+@pytest.mark.parametrize("batch", [(), (0,), (5,), (40,)])
+def test_pooled_linear_matches_serial_reference(cast_pool, rows, batch):
+    rng = np.random.default_rng(rows + len(batch))
+    k = 1024
+    w = rng.standard_normal((rows, k)).astype(np.float32)
+    b = rng.standard_normal(rows).astype(np.float32)
+    x = rng.standard_normal(batch + (k,))
+    got = _linear(x, w, b)
+    assert got.shape == batch + (rows,)
+    assert np.array_equal(got, held_serial_linear(x, w, b))
+
+
+@pytest.mark.parametrize("cast_pool", [1, 2], indirect=True)
+@pytest.mark.parametrize("activation", reasoning.ACTIVATIONS)
+@pytest.mark.parametrize("aggregation", reasoning.AGGREGATIONS)
+def test_pooled_forward_matches_serial_reference(cast_pool, activation,
+                                                 aggregation, monkeypatch):
+    monkeypatch.setattr(reasoning, "_CAST_ROWS", 5)  # D = 16: 5, 5, 5, 1
+    rng = random.Random(13)
+    for trial in range(4):
+        policy = rng.choice([DFS, BFS, SpanningTreePolicy("random", trial)])
+        cx = lift(graph_with_loops_and_parallels(rng), dim=D, seed=trial,
+                  policy=policy)
+        sub = partial_subcomplex(cx, rng)
+        cfg = config(layers=rng.randrange(1, 4), activation=activation,
+                     aggregation=aggregation, seed=trial, proj_dim=11)
+        weights = ReasoningWeights.initialize(cfg)
+        states = forward(sub, weights, cfg)
+        projected = project(pool(states, sub), weights)
+        with monkeypatch.context() as patch:
+            patch.setattr(reasoning, "_linear", held_serial_linear)
+            expected = forward(sub, weights, cfg)
+            expected_projected = project(pool(expected, sub), weights)
+        assert np.array_equal(states.states, expected.states)
+        assert np.array_equal(projected, expected_projected)
+
+
+def test_blas_held_to_one_thread_and_restored(monkeypatch):
+    blas = reasoning._blas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread-count setter found")
+    get, set_ = blas
+
+    seen = []
+
+    class RecordingPool:
+        def map(self, fn, items):
+            seen.append(get())
+            return map(fn, items)
+
+    cfg = config()
+    weights = ReasoningWeights.initialize(cfg)
+    sub = full_subcomplex(lift(k4(), dim=D))
+    start = get()
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            forward(sub, weights, cfg)
+            assert get() == threads
+            with monkeypatch.context() as patch:
+                patch.setattr(reasoning, "_cast_pool", RecordingPool)
+                forward(sub, weights, cfg)
+            assert get() == threads
+    finally:
+        set_(start)
+    assert seen and set(seen) == {1}
+
+
+@pytest.mark.parametrize("cpus,found,workers", [
+    (1, True, 1), (2, True, 2), (8, True, 2), (8, False, 1)])
+def test_cast_pool_size(cpus, found, workers, monkeypatch):
+    monkeypatch.setattr(reasoning, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(reasoning, "_blas_threads",
+                        lambda: (lambda: 1, lambda n: None) if found else None)
+    executor = reasoning._cast_pool.__wrapped__()
+    try:
+        assert executor._max_workers == workers
+    finally:
+        executor.shutdown()
