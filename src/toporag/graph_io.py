@@ -130,31 +130,27 @@ def _load_json_graph(path: Path) -> TextualGraph:
     return _compact(raw_nodes, raw_edges, directed)
 
 
+def _csv_rows(path: Path, ids: tuple[str, ...], text: str) -> list[tuple]:
+    """``(*ids, text)`` per row of the CSV file ``path``, ids as ints; a
+    missing id column, a missing or non-integer id cell is ParseError."""
+    if not path.exists():
+        raise ParseError(f"csv-pair graph missing {path.name} in {path.parent}")
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh, restval="")  # a short row's cells are ""
+        try:
+            if not set(ids) <= set(reader.fieldnames or ()):
+                raise ParseError(f"{path}: expected header "
+                                 + ",".join(ids + (text,)))
+            return [tuple(int(row[key]) for key in ids) + (row.get(text, ""),)
+                    for row in reader]
+        except (ValueError, csv.Error) as exc:  # ValueError: int(), UTF-8
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def _load_csv_pair(directory: Path) -> TextualGraph:
-    nodes_path = directory / "nodes.csv"
-    edges_path = directory / "edges.csv"
-    for p in (nodes_path, edges_path):
-        if not p.exists():
-            raise ParseError(f"csv-pair graph missing {p.name} in {directory}")
-    raw_nodes, raw_edges = [], []
-    try:
-        with nodes_path.open(encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "node_id" not in reader.fieldnames:
-                raise ParseError(f"{nodes_path}: expected header node_id,node_attr")
-            for row in reader:
-                raw_nodes.append((int(row["node_id"]), row.get("node_attr") or ""))
-        with edges_path.open(encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "src" not in reader.fieldnames:
-                raise ParseError(f"{edges_path}: expected header src,edge_attr,dst")
-            for row in reader:
-                raw_edges.append(
-                    (int(row["src"]), int(row["dst"]), row.get("edge_attr") or "")
-                )
-    except ValueError as exc:
-        raise ParseError(f"{directory}: non-integer id: {exc}") from exc
-    return _compact(raw_nodes, raw_edges, directed=True)
+    nodes = _csv_rows(directory / "nodes.csv", ("node_id",), "node_attr")
+    edges = _csv_rows(directory / "edges.csv", ("src", "dst"), "edge_attr")
+    return _compact(nodes, edges, directed=True)
 
 
 def load_graph(path: str | Path, format: str | None = None) -> TextualGraph:

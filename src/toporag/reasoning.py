@@ -8,18 +8,18 @@ updates are affine maps over concatenated inputs followed by the
 configured activation; aggregation over a neighbor set is sum (default)
 or mean, with the empty set contributing a zero message.
 
-Weights are stored as float32, in one contiguous buffer with every
-parameter a view into it, so the weight file round-trips bit-exactly.
-States and affine maps are computed in float64: each weight matrix is
-cast in 128-row blocks, each block cast and multiplied by one of up to
-two worker threads, so no float64 copy of a whole matrix is ever held.
-While the blocks run, the OpenBLAS that numpy loaded is held to one
-thread, so its own thread does not compete with the second worker for
-a core; where no way to set its thread count is found, one worker runs
-the blocks in order. The seeded initialisation fills the buffer
-from several threads, each advancing its own PCG64 stream to its slice;
-the result is bit-identical to one sequential ``uniform`` draw per
-parameter, whatever the thread count.
+Weights are stored as float32 in one contiguous buffer, seeded or read
+from a weight file in one call, with every parameter a view into it;
+the file round-trips bit-exactly. States and affine maps are computed
+in float64: each weight matrix is cast in 128-row blocks, each cast and
+multiplied by one of up to two worker threads, so no float64 copy of a
+whole matrix is ever held. While the blocks run, the OpenBLAS that
+``np.matmul`` calls, found through numpy's extension module, is held to
+one thread, so its own thread does not compete with the second worker
+for a core; where it is not found, one worker runs the blocks in order.
+The seeded initialisation fills the buffer from several threads, each
+advancing its own PCG64 stream to its slice; the result is bit-identical
+to one sequential ``uniform`` draw per parameter, whatever the thread count.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ _BLAS_THREAD_SYMBOLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 _blas_lock = threading.Lock()
+# (affine map, input width / d) in the order that fixes each one's draws
+_LAYER_MAPS = (("face", 2), ("coface", 2), ("update", 3))
+_FINAL_MAPS = (("face", 2), ("coface", 2), ("upper", 3), ("update", 4))
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,8 @@ class ReasoningConfig:
     def __post_init__(self):
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
-        if self.state_dim <= 0:
-            raise ValueError("state_dim must be positive")
+        if self.state_dim <= 0 or self.projection_dim <= 0:
+            raise ValueError("state_dim and proj_dim must be positive")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.aggregation not in AGGREGATIONS:
@@ -88,27 +91,25 @@ def _activate(x: np.ndarray, kind: str) -> np.ndarray:
     return x
 
 
-def _layer_param_specs(config: ReasoningConfig) -> list[tuple[str, tuple[int, int]]]:
+def _layer_param_specs(config: ReasoningConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter: a ``.w`` then a ``.b`` per map."""
     d = config.state_dim
-    specs = []
-    for layer in range(config.layers):
-        specs.append((f"layer{layer}.face.w", (d, 2 * d)))
-        specs.append((f"layer{layer}.face.b", (d,)))
-        specs.append((f"layer{layer}.coface.w", (d, 2 * d)))
-        specs.append((f"layer{layer}.coface.b", (d,)))
-        specs.append((f"layer{layer}.update.w", (d, 3 * d)))
-        specs.append((f"layer{layer}.update.b", (d,)))
-    specs.append(("final.face.w", (d, 2 * d)))
-    specs.append(("final.face.b", (d,)))
-    specs.append(("final.coface.w", (d, 2 * d)))
-    specs.append(("final.coface.b", (d,)))
-    specs.append(("final.upper.w", (d, 3 * d)))
-    specs.append(("final.upper.b", (d,)))
-    specs.append(("final.update.w", (d, 4 * d)))
-    specs.append(("final.update.b", (d,)))
-    specs.append(("proj.w", (config.projection_dim, d)))
-    specs.append(("proj.b", (config.projection_dim,)))
-    return specs
+    maps = [(f"layer{layer}.{name}", d, width * d)
+            for layer in range(config.layers) for name, width in _LAYER_MAPS]
+    maps += [(f"final.{name}", d, width * d) for name, width in _FINAL_MAPS]
+    maps.append(("proj", config.projection_dim, d))
+    return [spec for name, rows, cols in maps
+            for spec in ((f"{name}.w", (rows, cols)), (f"{name}.b", (rows,)))]
+
+
+def _views(buffer: np.ndarray, specs) -> dict[str, np.ndarray]:
+    """{name: view}: consecutive slices of the flat ``buffer``, in order."""
+    params, offset = {}, 0
+    for name, shape in specs:
+        size = math.prod(shape)
+        params[name] = buffer[offset:offset + size].reshape(shape)
+        offset += size
+    return params
 
 
 def _usable_cpus() -> int:
@@ -219,50 +220,37 @@ class ReasoningWeights:
         casting it to float32; filled by ``min(4, usable CPUs)`` threads.
         """
         specs = _layer_param_specs(config)
-        sizes = [int(np.prod(shape)) for _, shape in specs]
-        buffer = np.empty(sum(sizes), dtype=np.float32)
+        buffer = np.empty(sum(math.prod(shape) for _, shape in specs),
+                          dtype=np.float32)
         _fill_uniform(buffer, config.seed, 1.0 / np.sqrt(config.state_dim),
                       min(_MAX_INIT_WORKERS, _usable_cpus()))
-        params, offset = {}, 0
-        for (name, shape), size in zip(specs, sizes):
-            params[name] = buffer[offset:offset + size].reshape(shape)
-            offset += size
-        return cls(config=config, params=params)
+        return cls(config=config, params=_views(buffer, specs))
 
     def save(self, path) -> None:
         """JSON header line (config + array shapes) then float32 LE payload."""
         names = [name for name, _ in _layer_param_specs(self.config)]
-        header = {
-            "layers": self.config.layers,
-            "state_dim": self.config.state_dim,
-            "activation": self.config.activation,
-            "aggregation": self.config.aggregation,
-            "seed": self.config.seed,
-            "proj_dim": self.config.projection_dim,
-            "arrays": [{"name": n, "shape": list(self.params[n].shape)}
-                       for n in names],
-        }
+        header = {key: getattr(self.config, "projection_dim"
+                               if key == "proj_dim" else key)
+                  for key, _ in _HEADER_FIELDS}
+        header["arrays"] = [{"name": n, "shape": list(self.params[n].shape)}
+                            for n in names]
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode("utf-8") + b"\n")
             for name in names:
-                fh.write(np.ascontiguousarray(self.params[name],
-                                              dtype="<f4").tobytes())
+                fh.write(np.ascontiguousarray(self.params[name], "<f4"))
 
     @classmethod
     def load(cls, path) -> "ReasoningWeights":
+        """A :meth:`save` file's weights: views into one buffer, one read."""
         with _open_weight_file(path) as fh:
             arrays, config = _read_header(fh)
             if sorted(arrays) != sorted(_layer_param_specs(config)):
                 raise ValidationError("weight shapes do not match the config")
-            params = {}
-            for name, shape in arrays:
-                count = math.prod(shape)
-                payload = fh.read(count * 4)
-                if len(payload) != count * 4:
-                    raise ValidationError("truncated weight payload")
-                params[name] = np.frombuffer(
-                    payload, dtype="<f4").reshape(shape).copy()
-        return cls(config=config, params=params)
+            buffer = np.empty(sum(math.prod(shape) for _, shape in arrays),
+                              dtype="<f4")
+            if fh.readinto(buffer) != buffer.nbytes:
+                raise ValidationError("truncated weight payload")
+        return cls(config=config, params=_views(buffer, arrays))
 
 
 @dataclass(frozen=True)
@@ -325,30 +313,21 @@ class _Incidence:
 
 @functools.cache
 def _blas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS numpy loaded,
-    or ``None`` when none is found.
-
-    The library is looked up among the shared objects mapped into this
-    process, so the one numpy links against is the one adjusted.
+    """The (get, set) thread-count functions of the OpenBLAS that
+    ``np.matmul`` calls, or ``None``. They are looked up on the handle of
+    numpy's extension module, whose ``dlsym`` searches the libraries it links.
     """
+    core = np._core if int(np.__version__.split(".")[0]) >= 2 else np.core
     try:
-        with open("/proc/self/maps") as fh:
-            mapped = [line.split(maxsplit=5) for line in fh]
-    except OSError:  # no /proc: the serial loop
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except OSError:  # the serial loop
         return None
-    paths = {fields[5].rstrip("\n") for fields in mapped if len(fields) == 6
-             and "blas" in os.path.basename(fields[5])}
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 

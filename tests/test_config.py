@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from toporag.config import PipelineConfig, load_config, save_config
@@ -59,3 +61,11 @@ def test_bad_value_reported_with_line(tmp_path):
     path.write_text("k2 = not-json\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         load_config(path)
+
+
+def test_readme_example_loads_as_the_defaults(tmp_path):
+    readme = Path(__file__).parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Configuration")[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(section.split("```")[1], encoding="utf-8")
+    assert load_config(path) == PipelineConfig()

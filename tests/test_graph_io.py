@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,29 @@ def test_scene_loop_csv_pair():
     assert g.num_edges == 4
     assert g.nodes[0].text == "bookshelf"
     assert g.nodes[3].text == "clock"
+
+
+# (file, text): a required column missing, an id cell missing, an id
+# that is not an integer
+MALFORMED_CSV = [
+    ("nodes.csv", "node_attr\na\n"),
+    ("edges.csv", "src,edge_attr\n0,r\n"),
+    ("edges.csv", "src,edge_attr,dst\n0,r\n"),
+    ("edges.csv", "src,edge_attr,dst\n0,r,one\n"),
+]
+
+
+@pytest.mark.parametrize("name,text", MALFORMED_CSV, ids=[
+    "no-node_id-column", "no-dst-column", "missing-id-cell", "non-integer-id"])
+def test_malformed_csv_pair_is_parse_error(tmp_path, name, text):
+    (tmp_path / "nodes.csv").write_text("node_id,node_attr\n0,a\n1,b\n",
+                                        encoding="utf-8")
+    (tmp_path / "edges.csv").write_text("src,edge_attr,dst\n0,r,1\n",
+                                        encoding="utf-8")
+    load_graph(tmp_path)
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(str(tmp_path / name))):
+        load_graph(tmp_path)
 
 
 def test_round_trip_triangle(tmp_path):

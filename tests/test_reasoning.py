@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -340,6 +342,13 @@ def test_projection_dim():
 
 # --- weight files ---
 
+def assert_one_buffer(weights):
+    base = weights["layer0.face.w"].base
+    assert base is not None
+    assert all(arr.base is base for arr in weights.params.values())
+    assert base.size == sum(arr.size for arr in weights.params.values())
+
+
 def test_weight_file_round_trip_bit_exact(tmp_path):
     cfg = config(layers=3, proj_dim=9)
     weights = ReasoningWeights.initialize(cfg)
@@ -351,8 +360,50 @@ def test_weight_file_round_trip_bit_exact(tmp_path):
     for name, arr in weights.params.items():
         assert np.array_equal(arr, reloaded.params[name])
         assert arr.dtype == reloaded.params[name].dtype == np.float32
+    assert_one_buffer(reloaded)
     reloaded.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_weight_file_bytes_are_pinned(tmp_path):
+    # pins the spec order, the seeded values and the header bytes
+    path = tmp_path / "w.bin"
+    ReasoningWeights.initialize(config(proj_dim=9)).save(path)
+    data = path.read_bytes()
+    assert len(data) == 27935
+    assert hashlib.sha256(data).hexdigest() == (
+        "879941f292ce44b48d5b53bc8062906fc1f15f9108e8cdd32dc0fb4c5833408c")
+
+
+def _cut_payload(header, payload):
+    return header, payload[:-1]
+
+
+def _shrink_state_dim(header, payload):
+    return {**header, "state_dim": D - 1}, payload
+
+
+def _zero_proj_dim(header, payload):
+    # arrays that agree with proj_dim 0, so only the dimension is wrong
+    arrays = [{**spec, "shape": [0] + spec["shape"][1:]}
+              if spec["name"].startswith("proj.") else spec
+              for spec in header["arrays"]]
+    return {**header, "proj_dim": 0, "arrays": arrays}, payload
+
+
+@pytest.mark.parametrize("damage,message", [
+    (_cut_payload, "truncated weight payload"),
+    (_shrink_state_dim, "weight shapes do not match the config"),
+    (_zero_proj_dim, "proj_dim must be positive"),
+], ids=["truncated", "shapes-disagree", "proj_dim-0"])
+def test_damaged_weight_file_is_validation_error(tmp_path, damage, message):
+    path = tmp_path / "w.bin"
+    ReasoningWeights.initialize(config(proj_dim=9)).save(path)
+    header, _, payload = path.read_bytes().partition(b"\n")
+    header, payload = damage(json.loads(header), payload)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(ValidationError, match=message):
+        ReasoningWeights.load(path)
 
 
 def test_projection_bit_stable_through_file(tmp_path):
@@ -411,10 +462,7 @@ def test_initialize_independent_of_worker_count(workers, monkeypatch):
 
 
 def test_initialize_params_share_one_buffer():
-    weights = ReasoningWeights.initialize(config())
-    base = weights["layer0.face.w"].base
-    assert all(arr.base is base for arr in weights.params.values())
-    assert base.size == sum(arr.size for arr in weights.params.values())
+    assert_one_buffer(ReasoningWeights.initialize(config()))
 
 
 def test_linear_matches_whole_matrix_cast():
@@ -535,6 +583,17 @@ def test_blas_held_to_one_thread_and_restored(monkeypatch):
     finally:
         set_(start)
     assert seen and set(seen) == {1}
+
+
+def test_blas_threads_found_where_numpy_names_openblas():
+    # a lookup that silently failed would run _linear on one worker
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.25: no mode
+        pytest.skip("numpy cannot report its BLAS")
+    if "openblas" not in blas["name"].lower():
+        pytest.skip(f"numpy links {blas['name']}, not OpenBLAS")
+    assert reasoning._blas_threads() is not None
 
 
 @pytest.mark.parametrize("cpus,found,workers", [
