@@ -110,8 +110,16 @@ def check_question(question: str, where: str) -> None:
         raise ValidationError(f"{where}: empty question")
 
 
+def _read_error(path: Path, exc: OSError) -> IoError:
+    return IoError(f"cannot read {path}: {exc.strerror or exc}")
+
+
 def _load_json_graph(path: Path) -> TextualGraph:
-    data = parse_json(path.read_bytes(), str(path), ParseError)
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise _read_error(path, exc) from exc
+    data = parse_json(raw, str(path), ParseError)
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
         raise ParseError(f"{path}: expected object with 'nodes' and 'edges'")
     directed = typed(data.get("directed", False), bool, f"{path}: directed",
@@ -135,16 +143,18 @@ def _csv_rows(path: Path, ids: tuple[str, ...], text: str) -> list[tuple]:
     missing id column, a missing or non-integer id cell is ParseError."""
     if not path.exists():
         raise ParseError(f"csv-pair graph missing {path.name} in {path.parent}")
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, restval="")  # a short row's cells are ""
-        try:
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh, restval="")  # a short row's cells: ""
             if not set(ids) <= set(reader.fieldnames or ()):
                 raise ParseError(f"{path}: expected header "
                                  + ",".join(ids + (text,)))
             return [tuple(int(row[key]) for key in ids) + (row.get(text, ""),)
                     for row in reader]
-        except (ValueError, csv.Error) as exc:  # ValueError: int(), UTF-8
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+    except OSError as exc:
+        raise _read_error(path, exc) from exc
+    except (ValueError, csv.Error) as exc:  # ValueError: int(), UTF-8
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _load_csv_pair(directory: Path) -> TextualGraph:

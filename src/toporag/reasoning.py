@@ -1,22 +1,30 @@
 """Forward-pass message passing over a retrieved subcomplex.
 
 Stage 1 runs L hops along the 1-skeleton: 0- and 1-cells exchange
-face/coface messages while 2-cell states pass through untouched.
-Stage 2 runs once over all cells and adds an upper-adjacency message
-(neighbors sharing a coface, the coface state included). Messages and
-updates are affine maps over concatenated inputs followed by the
-configured activation; aggregation over a neighbor set is sum (default)
-or mean, with the empty set contributing a zero message.
+face/coface messages while 2-cell states pass through untouched, so
+only messages landing on 0- and 1-cells and only their updates are
+computed. Stage 2 runs once over all cells and adds an upper-adjacency
+message (neighbors sharing a coface, the coface state included).
+Messages and updates are affine maps over concatenated inputs followed
+by the configured activation; aggregation over a neighbor set is sum
+(default) or mean, with the empty set contributing a zero message.
+
+Each map is factored by input block, ``W [a; b] + c = W_a a + W_b b + c``:
+every column block of ``W`` multiplies only the distinct state rows its
+input reads (a cell sending several messages is multiplied once), and
+the products are gathered per message and summed. A map with no
+messages casts and multiplies nothing.
 
 Weights are stored as float32 in one contiguous buffer, seeded or read
 from a weight file in one call, with every parameter a view into it;
 the file round-trips bit-exactly. States and affine maps are computed
-in float64: each weight matrix is cast in 128-row blocks, each cast and
-multiplied by one of up to two worker threads, so no float64 copy of a
-whole matrix is ever held. While the blocks run, the OpenBLAS that
-``np.matmul`` calls, found through numpy's extension module, is held to
-one thread, so its own thread does not compete with the second worker
-for a core; where it is not found, one worker runs the blocks in order.
+in float64: each weight matrix is split into 128-row blocks, and each
+block is cast and multiplied, one input's column block at a time, by
+one of up to two worker threads, so no float64 copy of a whole matrix
+is ever held. While the blocks run, the OpenBLAS that ``np.matmul``
+calls, found through numpy's extension module, is held to one thread,
+so its own thread does not compete with the second worker for a core;
+where it is not found, one worker runs the blocks in order.
 The seeded initialisation fills the buffer from several threads, each
 advancing its own PCG64 stream to its slice; the result is bit-identical
 to one sequential ``uniform`` draw per parameter, whatever the thread count.
@@ -45,7 +53,7 @@ AGGREGATIONS = ("sum", "mean")
 
 _INIT_CHUNK = 1 << 17  # draws per chunk: 1 MB of float64 scratch per thread
 _MAX_INIT_WORKERS = 4
-_CAST_ROWS = 128  # weight rows cast to float64 per block: 4 MB at d = 1024
+_CAST_ROWS = 128  # weight rows per block: a 1 MB float64 tile at d = 1024
 _MAX_CAST_WORKERS = 2
 # (get, set) thread-count symbols: numpy 2.x wheels, older wheels, system
 _BLAS_THREAD_SYMBOLS = (
@@ -333,7 +341,7 @@ def _blas_threads():
 
 @functools.cache
 def _cast_pool() -> ThreadPoolExecutor:
-    """The workers of :func:`_linear`: ``min(2, usable CPUs)``, or one
+    """The workers of :func:`_products`: ``min(2, usable CPUs)``, or one
     when the BLAS thread count cannot be set."""
     workers = min(_MAX_CAST_WORKERS, _usable_cpus()) if _blas_threads() else 1
     return ThreadPoolExecutor(max_workers=workers,
@@ -360,32 +368,52 @@ def _one_blas_thread():
             set_(threads)
 
 
-def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w.T + b`` in float64, casting float32 ``w`` a row block at a time.
+def _products(xs: list[np.ndarray], w: np.ndarray) -> list[np.ndarray]:
+    """``[x_j @ w_j.T for each j]`` in float64, where ``w_j`` is the column
+    block of float32 ``w`` as wide as ``x_j``, the blocks side by side.
 
-    Each block is cast and multiplied by one worker of :func:`_cast_pool`,
-    so at most one float64 block per worker is alive. OpenBLAS is held to
+    ``w`` is split into row blocks, each handled by one worker of
+    :func:`_cast_pool`: it casts the block one input's columns at a time
+    and multiplies that tile by the input, so each weight is cast once
+    and at most one float64 tile per worker is alive. OpenBLAS is held to
     one thread while they run: its own second thread would contend with
     the second worker for the same core.
     """
-    out = np.empty(x.shape[:-1] + (w.shape[0],))
+    outs = [np.empty(x.shape[:-1] + (w.shape[0],)) for x in xs]
+    edges = np.cumsum([0] + [x.shape[-1] for x in xs])
 
     def block(lo: int) -> None:
         hi = lo + _CAST_ROWS
-        # unnamed, the cast block is freed as soon as its product is stored
-        out[..., lo:hi] = x @ w[lo:hi].astype(np.float64).T
+        for x, out, left, right in zip(xs, outs, edges, edges[1:]):
+            out[..., lo:hi] = x @ w[lo:hi, left:right].astype(np.float64).T
 
     with _one_blas_thread():
         list(_cast_pool().map(block, range(0, w.shape[0], _CAST_ROWS)))
-    out += b
-    return out
+    return outs
 
 
-def _affine(x: np.ndarray, weights: ReasoningWeights, name: str,
+def _affine(parts: list[tuple[np.ndarray, np.ndarray]],
+            weights: ReasoningWeights, name: str,
             config: ReasoningConfig) -> np.ndarray:
-    """The activated affine map ``name`` of the concatenated inputs ``x``."""
-    return _activate(_linear(x, weights[f"{name}.w"], weights[f"{name}.b"]),
-                     config.activation)
+    """The activated affine map ``name`` of ``[x_0[i_0], x_1[i_1], ...]``,
+    one output row per position of the equal-length row indices ``i_j``
+    of the parts ``(x_j, i_j)``.
+
+    ``W [a; b] = W_a a + W_b b``: each part is multiplied by its column
+    block of ``W`` once per distinct row it indexes, and the products are
+    gathered and summed. A map with no rows casts nothing.
+    """
+    w = weights[f"{name}.w"]
+    if len(parts[0][1]) == 0:
+        return np.empty((0, w.shape[0]))
+    distinct = [np.unique(rows, return_inverse=True) for _, rows in parts]
+    products = _products([x[rows] for (x, _), (rows, _) in
+                          zip(parts, distinct)], w)
+    out = products[0][distinct[0][1]]
+    for product, (_, inverse) in zip(products[1:], distinct[1:]):
+        out += product[inverse]
+    out += weights[f"{name}.b"]
+    return _activate(out, config.activation)
 
 
 def _messages(h: np.ndarray, pairs: np.ndarray, weights: ReasoningWeights,
@@ -396,9 +424,9 @@ def _messages(h: np.ndarray, pairs: np.ndarray, weights: ReasoningWeights,
     and lands on its first cell; a cell with no rows gets zero.
     """
     n, d = h.shape
-    inputs = h[pairs].reshape(len(pairs), pairs.shape[1] * d)
     out = np.zeros((n, d))
-    np.add.at(out, pairs[:, 0], _affine(inputs, weights, name, config))
+    np.add.at(out, pairs[:, 0],
+              _affine([(h, cells) for cells in pairs.T], weights, name, config))
     if config.aggregation == "mean":
         counts = np.bincount(pairs[:, 0], minlength=n)
         nonzero = counts > 0
@@ -408,19 +436,21 @@ def _messages(h: np.ndarray, pairs: np.ndarray, weights: ReasoningWeights,
 
 def _stage1(states: CellStates, inc: _Incidence, weights: ReasoningWeights,
             config: ReasoningConfig) -> CellStates:
+    """Only 0- and 1-cells are updated, so only messages landing on them
+    are computed: faces of 1-cells and 1-cell cofaces of 0-cells."""
     if inc.cell_ids != states.cell_ids:
         raise ValidationError("states do not align with the subcomplex cells")
-    h = states.states
-    skeleton_coface = inc.coface[inc.dims[inc.coface[:, 1]] == 1]
-    low = inc.dims <= 1
+    h = states.states.copy()
+    low = np.flatnonzero(inc.dims <= 1)
+    face = inc.face[inc.dims[inc.face[:, 0]] <= 1]
+    coface = inc.coface[inc.dims[inc.coface[:, 1]] == 1]
     for layer in range(config.layers):
         prefix = f"layer{layer}"
-        updated = _affine(np.concatenate([
-            h,
-            _messages(h, inc.face, weights, f"{prefix}.face", config),
-            _messages(h, skeleton_coface, weights, f"{prefix}.coface", config),
-        ], axis=1), weights, f"{prefix}.update", config)
-        h = np.where(low[:, None], updated, h)
+        h[low] = _affine([
+            (h, low),
+            (_messages(h, face, weights, f"{prefix}.face", config), low),
+            (_messages(h, coface, weights, f"{prefix}.coface", config), low),
+        ], weights, f"{prefix}.update", config)
     return CellStates(cell_ids=states.cell_ids, states=h,
                       layer=states.layer + config.layers)
 
@@ -428,12 +458,13 @@ def _stage1(states: CellStates, inc: _Incidence, weights: ReasoningWeights,
 def _stage2(states: CellStates, inc: _Incidence, weights: ReasoningWeights,
             config: ReasoningConfig) -> CellStates:
     h = states.states
-    updated = _affine(np.concatenate([
-        h,
-        _messages(h, inc.face, weights, "final.face", config),
-        _messages(h, inc.coface, weights, "final.coface", config),
-        _messages(h, inc.upper, weights, "final.upper", config),
-    ], axis=1), weights, "final.update", config)
+    every = np.arange(len(h))
+    updated = _affine([
+        (h, every),
+        (_messages(h, inc.face, weights, "final.face", config), every),
+        (_messages(h, inc.coface, weights, "final.coface", config), every),
+        (_messages(h, inc.upper, weights, "final.upper", config), every),
+    ], weights, "final.update", config)
     return CellStates(cell_ids=states.cell_ids, states=updated,
                       layer=states.layer + 1)
 
@@ -479,4 +510,6 @@ def project(h: np.ndarray, weights: ReasoningWeights) -> np.ndarray:
     if h.shape != (w.shape[1],):
         raise DimensionMismatch(
             f"pooled embedding has shape {h.shape}, projection expects ({w.shape[1]},)")
-    return _linear(h, w, weights["proj.b"])
+    out = _products([h], w)[0]
+    out += weights["proj.b"]
+    return out

@@ -4,13 +4,16 @@ Kept independent of the package implementation: plain dict states and
 explicit Python loops straight over the complex's incidence fields,
 with upper adjacency defined here from the boundary and coboundary.
 Also the sequential weight initializer the chunked, threaded one must
-reproduce bit for bit, and the serial block-cast affine map the pooled
-one must reproduce bit for bit.
+reproduce bit for bit, the serial twin of the pooled block products,
+and the pairwise pass: the package's vectorized pass before its affine
+maps were factored by input block, run on the package's own incidence
+arrays.
 """
 
 import numpy as np
 
-from toporag.reasoning import ReasoningWeights, _layer_param_specs
+from toporag.reasoning import (ReasoningWeights, _Incidence,
+                               _layer_param_specs, init_states)
 
 
 def sequential_initialize(config):
@@ -23,14 +26,17 @@ def sequential_initialize(config):
     }
 
 
-def serial_linear(x, w, b, rows=256):
-    """``x @ w.T + b`` in float64 on the calling thread, casting float32
-    ``w`` to float64 ``rows`` rows at a time, in row order."""
-    out = np.empty(x.shape[:-1] + (w.shape[0],))
+def serial_products(xs, w, rows):
+    """``[x_j @ w_j.T]`` as ``reasoning._products`` computes it, on the
+    calling thread: the same float64 tiles of ``rows`` rows by one input's
+    width, cast and multiplied in row-block order."""
+    outs = [np.empty(x.shape[:-1] + (w.shape[0],)) for x in xs]
+    edges = np.cumsum([0] + [x.shape[-1] for x in xs])
     for lo in range(0, w.shape[0], rows):
-        out[..., lo:lo + rows] = x @ w[lo:lo + rows].astype(np.float64).T
-    out += b
-    return out
+        for x, out, left, right in zip(xs, outs, edges, edges[1:]):
+            out[..., lo:lo + rows] = (
+                x @ w[lo:lo + rows, left:right].astype(np.float64).T)
+    return outs
 
 
 def identity_weights(config):
@@ -131,3 +137,49 @@ def naive_forward(sub, weights, config):
                    for w, cof in uppers], d, config)
         final[cid] = _affine(weights, "final.update", [h[cid], mf, mc, mu], kind)
     return final
+
+
+def _pairwise_affine(x, weights, name, kind):
+    w = weights[f"{name}.w"].astype(np.float64)
+    return _act(x @ w.T + weights[f"{name}.b"].astype(np.float64), kind)
+
+
+def _pairwise_messages(h, pairs, weights, name, config):
+    """One affine message per row of ``pairs``, read from the concatenated
+    states of its cells and summed (or averaged) onto its first cell."""
+    n, d = h.shape
+    inputs = h[pairs].reshape(len(pairs), pairs.shape[1] * d)
+    out = np.zeros((n, d))
+    np.add.at(out, pairs[:, 0],
+              _pairwise_affine(inputs, weights, name, config.activation))
+    if config.aggregation == "mean":
+        counts = np.bincount(pairs[:, 0], minlength=n)
+        nonzero = counts > 0
+        out[nonzero] /= counts[nonzero, None]
+    return out
+
+
+def pairwise_forward(sub, weights, config):
+    """Final state rows, in ``sub.all_cells()`` order, of the pass that
+    multiplies one concatenated row per pair and, in stage 1, updates
+    every cell and then keeps the 2-cells' states."""
+    inc = _Incidence(sub)
+    h = init_states(sub, state_dim=config.state_dim).states
+    kind = config.activation
+    skeleton_coface = inc.coface[inc.dims[inc.coface[:, 1]] == 1]
+    low = inc.dims <= 1
+    for layer in range(config.layers):
+        prefix = f"layer{layer}"
+        updated = _pairwise_affine(np.concatenate([
+            h,
+            _pairwise_messages(h, inc.face, weights, f"{prefix}.face", config),
+            _pairwise_messages(h, skeleton_coface, weights,
+                               f"{prefix}.coface", config),
+        ], axis=1), weights, f"{prefix}.update", kind)
+        h = np.where(low[:, None], updated, h)
+    return _pairwise_affine(np.concatenate([
+        h,
+        _pairwise_messages(h, inc.face, weights, "final.face", config),
+        _pairwise_messages(h, inc.coface, weights, "final.coface", config),
+        _pairwise_messages(h, inc.upper, weights, "final.upper", config),
+    ], axis=1), weights, "final.update", kind)

@@ -52,6 +52,14 @@ def test_lift_scene_loop(capsys, small_cfg):
     assert "X2=1" in out and "betti1=1" in out
 
 
+def test_lift_directory_as_json_is_io_error(capsys, small_cfg):
+    scene = str(FIXTURES / "scene_loop")
+    assert main(["lift", scene, "--format", "json",
+                 "--config", small_cfg]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read" in err and scene in err
+
+
 def test_lift_dump_and_stats_roundtrip(tmp_path, capsys, small_cfg,
                                        triangle_path):
     dump = tmp_path / "dump.json"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toporag.errors import (MissingGraphError, ParseError, ValidationError)
+from toporag.errors import (IoError, MissingGraphError, ParseError,
+                             ValidationError)
 from toporag.graph_io import (Edge, Node, TextualGraph, load_graph,
                               load_qa_fixture, save_graph)
 
@@ -89,6 +90,13 @@ def test_malformed_csv_pair_is_parse_error(tmp_path, name, text):
     load_graph(tmp_path)
     (tmp_path / name).write_text(text, encoding="utf-8")
     with pytest.raises(ParseError, match=re.escape(str(tmp_path / name))):
+        load_graph(tmp_path)
+
+
+def test_unreadable_csv_pair_file_is_io_error(tmp_path):
+    (tmp_path / "nodes.csv").mkdir()
+    (tmp_path / "edges.csv").write_text("src,dst,edge_attr\n", encoding="utf-8")
+    with pytest.raises(IoError, match=re.escape(str(tmp_path / "nodes.csv"))):
         load_graph(tmp_path)
 
 

@@ -10,15 +10,19 @@ import pytest
 from toporag import reasoning
 from toporag.errors import DimensionMismatch, EmptySubcomplex, ValidationError
 from toporag.lifting import BFS, DFS, CellComplex, SpanningTreePolicy
+from toporag.config import PipelineConfig
+from toporag.graph_io import load_qa_fixture
+from toporag.pipeline import lift_from_config, retrieve_for_question
 from toporag.reasoning import (CellStates, ReasoningConfig, ReasoningWeights,
-                               _linear, forward, init_states, pool, project,
+                               _products, forward, init_states, pool, project,
                                stage1_pass, stage2_pass)
-from toporag.retrieval import Subcomplex
+from toporag.retrieval import Subcomplex, retrieve_subcomplex
 
-from helpers import k4, lift, make_graph, random_connected_graph, triangle
+from helpers import (FIXTURES, k4, lift, make_graph, random_connected_graph,
+                     triangle)
 from reference_reasoning import (identity_weights, naive_forward,
-                                 sequential_initialize, serial_linear,
-                                 upper_adjacent)
+                                 pairwise_forward, sequential_initialize,
+                                 serial_products, upper_adjacent)
 
 D = 16
 
@@ -217,6 +221,25 @@ def test_forward_matches_naive_reference_on_partial_selections(activation,
         expected = naive_forward(sub, weights, cfg)
         for cid in states.cell_ids:
             assert np.allclose(states.state(cid), expected[cid], atol=1e-6)
+        # the factored maps only reorder float64 sums
+        np.testing.assert_allclose(states.states,
+                                   pairwise_forward(sub, weights, cfg),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_forward_matches_pairwise_reference_on_fixture():
+    cfg = PipelineConfig()  # d = 1024, 3 layers
+    weights = ReasoningWeights.initialize(cfg.reasoning_config())
+    examples = load_qa_fixture(FIXTURES / "explagraphs_mini")
+    assert len(examples) == 10
+    for ex in examples:
+        sub = retrieve_for_question(lift_from_config(ex.graph, cfg),
+                                    ex.question, cfg)
+        states = forward(sub, weights, cfg.reasoning_config())
+        np.testing.assert_allclose(
+            states.states,
+            pairwise_forward(sub, weights, cfg.reasoning_config()),
+            rtol=1e-12, atol=1e-12)
 
 
 # --- permutation equivariance ---
@@ -471,19 +494,20 @@ def test_linear_matches_whole_matrix_cast():
     weights = ReasoningWeights.initialize(cfg)
     w, b = weights["proj.w"], weights["proj.b"]  # 300 rows: a ragged block
     h = rng.standard_normal(D)
-    assert np.array_equal(_linear(h, w, b),
+    assert np.array_equal(project(h, weights),
                           w.astype(np.float64) @ h + b.astype(np.float64))
     x = rng.standard_normal((5, D))
-    expected = x @ w.T.astype(np.float64) + b.astype(np.float64)
-    got = _linear(x, w, b)
+    expected = x @ w.T.astype(np.float64)
+    [got] = _products([x], w)
     assert got.shape == (5, 300)
     # BLAS may sum the ragged last block in another order: a few ulps
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_forward_holds_no_float64_weight_copy():
-    # d = 1024: final.update.w cast whole is 32 MB of float64; cast 256
-    # rows at a time it is 8 MB
+    # d = 1024: final.update.w cast whole is 32 MB of float64; cast a
+    # tile of 128 rows by one input's 1024 columns at a time, it is 1 MB
+    # per worker
     d = 1024
     cfg = ReasoningConfig(layers=1, state_dim=d, proj_dim=d, seed=1)
     weights = ReasoningWeights.initialize(cfg)
@@ -495,20 +519,79 @@ def test_forward_holds_no_float64_weight_copy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, f"forward peaked at {peak / 2**20:.1f} MB"
+    assert peak < 8 * 2**20, f"forward peaked at {peak / 2**20:.1f} MB"
+
+
+# --- no wasted work ---
+
+def record_products(patch, weights) -> list[tuple[str, list[np.ndarray]]]:
+    """Patch ``_products`` to record (map name, inputs) per call."""
+    names = {id(weights[name]): name.removesuffix(".w")
+             for name in weights.params if name.endswith(".w")}
+    products = reasoning._products
+    calls = []
+
+    def recording(xs, w):
+        calls.append((names[id(w)], [x.copy() for x in xs]))
+        return products(xs, w)
+
+    patch.setattr(reasoning, "_products", recording)
+    return calls
+
+
+def test_degenerate_subcomplex_casts_no_message_map(monkeypatch):
+    cfg = config(layers=2)
+    cx = lift(k4(), dim=D)
+    sub = retrieve_subcomplex(cx, cx.embeddings[0], k0=0, k1=0, k2=0, c2=0.5)
+    assert sub.degenerate and len(sub.all_cells()) == 1
+    weights = ReasoningWeights.initialize(cfg)
+    calls = record_products(monkeypatch, weights)
+    forward(sub, weights, cfg)
+    assert [name for name, _ in calls] == [
+        "layer0.update", "layer1.update", "final.update"]
+    assert all(len(x) == 1 for _, xs in calls for x in xs)
+
+
+def test_stage1_passes_no_two_cell_row_to_a_map(monkeypatch):
+    rng = random.Random(11)
+    graphs = [k4()] + [graph_with_loops_and_parallels(rng) for _ in range(4)]
+    checked = 0  # selections with both 2-cells and a stage-1 update
+    for trial, g in enumerate(graphs):
+        cx = lift(g, dim=D, seed=trial)
+        sub = full_subcomplex(cx) if trial < 2 else partial_subcomplex(cx, rng)
+        cfg = config(layers=3, seed=trial)
+        weights = ReasoningWeights.initialize(cfg)
+        states = init_states(sub, state_dim=D)
+        dims = np.array([cx.cells[c].dim for c in states.cell_ids])
+        two_cells = states.states[dims == 2]
+        with monkeypatch.context() as patch:
+            calls = record_products(patch, weights)
+            stage1_pass(states, sub, weights, cfg)
+        updates = [xs for name, xs in calls if name.endswith(".update")]
+        assert len(updates) == (cfg.layers if (dims <= 1).any() else 0)
+        for name, xs in calls:
+            assert name.startswith("layer")
+            if name.endswith(".update"):
+                assert all(len(x) == (dims <= 1).sum() for x in xs)
+            # 2-cell states never change in stage 1, so any row equal to
+            # one would be a 2-cell's
+            for x in xs:
+                assert not (x[:, None] == two_cells[None]).all(-1).any(), name
+        checked += bool(len(two_cells) and updates)
+    assert checked >= 2
 
 
 # --- row blocks on a pool, BLAS held to one thread ---
 
-def held_serial_linear(x, w, b):
-    """The serial reference over the same blocks and BLAS thread count."""
+def held_serial_products(xs, w):
+    """The serial reference over the same tiles and BLAS thread count."""
     with reasoning._one_blas_thread():
-        return serial_linear(x, w, b, rows=reasoning._CAST_ROWS)
+        return serial_products(xs, w, rows=reasoning._CAST_ROWS)
 
 
 @pytest.fixture
 def cast_pool(request, monkeypatch):
-    """Run ``_linear``'s blocks on a pool of ``request.param`` workers."""
+    """Run ``_products``' blocks on a pool of ``request.param`` workers."""
     executor = ThreadPoolExecutor(max_workers=request.param)
     monkeypatch.setattr(reasoning, "_cast_pool", lambda: executor)
     yield executor
@@ -522,11 +605,18 @@ def test_pooled_linear_matches_serial_reference(cast_pool, rows, batch):
     rng = np.random.default_rng(rows + len(batch))
     k = 1024
     w = rng.standard_normal((rows, k)).astype(np.float32)
-    b = rng.standard_normal(rows).astype(np.float32)
-    x = rng.standard_normal(batch + (k,))
-    got = _linear(x, w, b)
-    assert got.shape == batch + (rows,)
-    assert np.array_equal(got, held_serial_linear(x, w, b))
+    # one, two and three column blocks; after the first, each input has
+    # its own number of rows, as distinct rows do
+    for widths in ((k,), (512, 512), (384, 128, 512)):
+        xs = [rng.standard_normal(
+                  ((batch[0] + 3 * j,) if batch and j else batch) + (width,))
+              for j, width in enumerate(widths)]
+        got = _products(xs, w)
+        expected = held_serial_products(xs, w)
+        assert len(got) == len(xs)
+        for x, out, want in zip(xs, got, expected):
+            assert out.shape == x.shape[:-1] + (rows,)
+            assert np.array_equal(out, want)
 
 
 @pytest.mark.parametrize("cast_pool", [1, 2], indirect=True)
@@ -547,7 +637,7 @@ def test_pooled_forward_matches_serial_reference(cast_pool, activation,
         states = forward(sub, weights, cfg)
         projected = project(pool(states, sub), weights)
         with monkeypatch.context() as patch:
-            patch.setattr(reasoning, "_linear", held_serial_linear)
+            patch.setattr(reasoning, "_products", held_serial_products)
             expected = forward(sub, weights, cfg)
             expected_projected = project(pool(expected, sub), weights)
         assert np.array_equal(states.states, expected.states)
@@ -586,7 +676,7 @@ def test_blas_held_to_one_thread_and_restored(monkeypatch):
 
 
 def test_blas_threads_found_where_numpy_names_openblas():
-    # a lookup that silently failed would run _linear on one worker
+    # a lookup that silently failed would run _products on one worker
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.25: no mode
