@@ -12,16 +12,18 @@ by the configured activation; aggregation over a neighbor set is sum
 Each map is factored by input block, ``W [a; b] + c = W_a a + W_b b + c``:
 every column block of ``W`` multiplies only the distinct state rows its
 input reads (a cell sending several messages is multiplied once), and
-the products are gathered per message and summed. A map with no
-messages casts and multiplies nothing.
+the products are gathered per message and summed. An update multiplies
+a message only for the cells it lands on: the others read zero.
 
 Weights are stored as float32 in one contiguous buffer, seeded or read
 from a weight file in one call, with every parameter a view into it;
-the file round-trips bit-exactly. States and affine maps are computed
-in float64: each weight matrix is split into 128-row blocks, and each
-block is cast and multiplied, one input's column block at a time, by
-one of up to two worker threads, so no float64 copy of a whole matrix
-is ever held. While the blocks run, the OpenBLAS that ``np.matmul``
+the file round-trips bit-exactly, and a non-finite weight is refused.
+States and affine maps are computed in float64: each weight matrix is
+split into 128-row blocks, cast and multiplied one input's column block
+at a time, so no float64 copy of a whole matrix is ever held. Each step
+(a layer's messages, then its update) is one dispatch to up to two
+worker threads, one task each, worker i of n taking every n-th block of
+all the step's maps. While they run, the OpenBLAS that ``np.matmul``
 calls, found through numpy's extension module, is held to one thread,
 so its own thread does not compete with the second worker for a core;
 where it is not found, one worker runs the blocks in order.
@@ -249,7 +251,7 @@ class ReasoningWeights:
 
     @classmethod
     def load(cls, path) -> "ReasoningWeights":
-        """A :meth:`save` file's weights: views into one buffer, one read."""
+        """A :meth:`save` file's finite weights: one buffer, one read."""
         with _open_weight_file(path) as fh:
             arrays, config = _read_header(fh)
             if sorted(arrays) != sorted(_layer_param_specs(config)):
@@ -258,7 +260,11 @@ class ReasoningWeights:
                               dtype="<f4")
             if fh.readinto(buffer) != buffer.nbytes:
                 raise ValidationError("truncated weight payload")
-        return cls(config=config, params=_views(buffer, arrays))
+        params = _views(buffer, arrays)
+        for name, value in params.items():
+            if not np.isfinite(value).all():
+                raise ValidationError(f"weight {name} is not finite")
+        return cls(config=config, params=params)
 
 
 @dataclass(frozen=True)
@@ -300,7 +306,8 @@ class _Incidence:
     Rows of ``face`` are (cell, face), in cell order then boundary
     order; ``coface`` holds the same pairs turned around, sorted; rows
     of ``upper`` are (cell, neighbor, shared coface), sorted by cell,
-    coface, then neighbor. The first column is where a message lands.
+    coface, then neighbor. Each is sorted by its first column, where a
+    message lands.
     """
 
     def __init__(self, sub: Subcomplex):
@@ -368,70 +375,98 @@ def _one_blas_thread():
             set_(threads)
 
 
-def _products(xs: list[np.ndarray], w: np.ndarray) -> list[np.ndarray]:
-    """``[x_j @ w_j.T for each j]`` in float64, where ``w_j`` is the column
-    block of float32 ``w`` as wide as ``x_j``, the blocks side by side.
+def _products(jobs: list[tuple[list[np.ndarray], np.ndarray]]
+              ) -> list[list[np.ndarray]]:
+    """For each job ``(xs, w)``, ``[x_j @ w_j.T for each j]`` in float64,
+    where ``w_j`` is the column block of float32 ``w`` as wide as ``x_j``,
+    the blocks side by side.
 
-    ``w`` is split into row blocks, each handled by one worker of
-    :func:`_cast_pool`: it casts the block one input's columns at a time
-    and multiplies that tile by the input, so each weight is cast once
-    and at most one float64 tile per worker is alive. OpenBLAS is held to
-    one thread while they run: its own second thread would contend with
-    the second worker for the same core.
+    The jobs' row blocks are dealt out to the workers of
+    :func:`_cast_pool`, one task per worker: of ``n`` workers, worker
+    ``i`` takes every ``n``-th block. A block is cast one input's columns
+    at a time and that tile multiplied by the input, so each weight is
+    cast once and at most one float64 tile per worker is alive; an input
+    with no rows casts nothing, and a job with none makes no task.
+    OpenBLAS is held to one thread while they run: its own second thread
+    would contend with the second worker for the same core.
     """
-    outs = [np.empty(x.shape[:-1] + (w.shape[0],)) for x in xs]
-    edges = np.cumsum([0] + [x.shape[-1] for x in xs])
+    outs = [[np.empty(x.shape[:-1] + (w.shape[0],)) for x in xs]
+            for xs, w in jobs]
+    blocks = [(xs, w, out, lo) for (xs, w), out in zip(jobs, outs)
+              if any(x.size for x in xs)
+              for lo in range(0, w.shape[0], _CAST_ROWS)]
+    pool = _cast_pool()
+    workers = min(pool._max_workers, len(blocks))
 
-    def block(lo: int) -> None:
-        hi = lo + _CAST_ROWS
-        for x, out, left, right in zip(xs, outs, edges, edges[1:]):
-            out[..., lo:hi] = x @ w[lo:hi, left:right].astype(np.float64).T
+    def task(first: int) -> None:
+        for xs, w, out, lo in blocks[first::workers]:
+            hi, left = lo + _CAST_ROWS, 0
+            for x, product in zip(xs, out):
+                right = left + x.shape[-1]
+                if x.size:
+                    product[..., lo:hi] = (
+                        x @ w[lo:hi, left:right].astype(np.float64).T)
+                left = right
 
-    with _one_blas_thread():
-        list(_cast_pool().map(block, range(0, w.shape[0], _CAST_ROWS)))
+    if blocks:
+        with _one_blas_thread():
+            list(pool.map(task, range(workers)))
     return outs
 
 
-def _affine(parts: list[tuple[np.ndarray, np.ndarray]],
-            weights: ReasoningWeights, name: str,
-            config: ReasoningConfig) -> np.ndarray:
-    """The activated affine map ``name`` of ``[x_0[i_0], x_1[i_1], ...]``,
-    one output row per position of the equal-length row indices ``i_j``
-    of the parts ``(x_j, i_j)``.
+def _affine(maps: list[tuple[str, list[tuple]]], weights: ReasoningWeights,
+            config: ReasoningConfig) -> list[np.ndarray]:
+    """For each ``(name, parts)`` of ``maps``, the activated affine map
+    ``name``; the products of all the maps run in one dispatch.
 
+    A part ``(x_j, i_j, at_j)`` is one input block: output rows ``at_j``
+    read rows ``i_j`` of ``x_j``, and every other row reads zero there.
+    The first part's ``at`` is every output row.
     ``W [a; b] = W_a a + W_b b``: each part is multiplied by its column
-    block of ``W`` once per distinct row it indexes, and the products are
-    gathered and summed. A map with no rows casts nothing.
+    block of ``W`` once per distinct row it reads, and the products are
+    gathered and summed.
     """
-    w = weights[f"{name}.w"]
-    if len(parts[0][1]) == 0:
-        return np.empty((0, w.shape[0]))
-    distinct = [np.unique(rows, return_inverse=True) for _, rows in parts]
-    products = _products([x[rows] for (x, _), (rows, _) in
-                          zip(parts, distinct)], w)
-    out = products[0][distinct[0][1]]
-    for product, (_, inverse) in zip(products[1:], distinct[1:]):
-        out += product[inverse]
-    out += weights[f"{name}.b"]
-    return _activate(out, config.activation)
+    distinct = [[np.unique(rows, return_inverse=True) for _, rows, _ in parts]
+                for _, parts in maps]
+    products = _products([
+        ([x[rows] for (x, _, _), (rows, _) in zip(parts, gather)],
+         weights[f"{name}.w"])
+        for (name, parts), gather in zip(maps, distinct)])
+    outs = []
+    for (name, parts), gather, product in zip(maps, distinct, products):
+        out = product[0][gather[0][1]]
+        for block, (_, inverse), (_, _, at) in zip(product[1:], gather[1:],
+                                                   parts[1:]):
+            out[at] += block[inverse]
+        out += weights[f"{name}.b"]
+        outs.append(_activate(out, config.activation))
+    return outs
 
 
-def _messages(h: np.ndarray, pairs: np.ndarray, weights: ReasoningWeights,
-              name: str, config: ReasoningConfig) -> np.ndarray:
-    """AGG of activated affine messages, one per row of ``pairs``.
+def _update(h: np.ndarray, cells: np.ndarray,
+            messages: list[tuple[str, np.ndarray]], name: str,
+            weights: ReasoningWeights, config: ReasoningConfig) -> np.ndarray:
+    """The update map ``name`` of the sorted state rows ``cells``: each
+    reads its own state and, for each ``(message map, pairs)``, the AGG
+    of the activated affine messages, one per row of ``pairs``, that land
+    on it. A row of ``pairs`` reads the states of all its cells,
+    concatenated, and lands on its first cell.
 
-    A row's message reads the states of all its cells, concatenated,
-    and lands on its first cell; a cell with no rows gets zero.
+    The message maps run in one dispatch, and each is summed over the
+    segments of ``pairs``, sorted by landing cell. A cell that no pair
+    lands on reads a zero message, and no product is computed for it.
     """
-    n, d = h.shape
-    out = np.zeros((n, d))
-    np.add.at(out, pairs[:, 0],
-              _affine([(h, cells) for cells in pairs.T], weights, name, config))
-    if config.aggregation == "mean":
-        counts = np.bincount(pairs[:, 0], minlength=n)
-        nonzero = counts > 0
-        out[nonzero] /= counts[nonzero, None]
-    return out
+    parts = [(h, cells, slice(None))]
+    for (_, pairs), sent in zip(messages, _affine(
+            [(message, [(h, column, slice(None)) for column in pairs.T])
+             for message, pairs in messages], weights, config)):
+        starts = np.flatnonzero(np.diff(pairs[:, 0], prepend=-1))
+        received = np.add.reduceat(sent, starts) if len(starts) else sent
+        if config.aggregation == "mean":
+            received /= np.diff(starts, append=len(pairs))[:, None]
+        parts.append((received, np.arange(len(starts)),
+                      np.searchsorted(cells, pairs[starts, 0])))
+    return _affine([(name, parts)], weights, config)[0]
 
 
 def _stage1(states: CellStates, inc: _Incidence, weights: ReasoningWeights,
@@ -446,11 +481,9 @@ def _stage1(states: CellStates, inc: _Incidence, weights: ReasoningWeights,
     coface = inc.coface[inc.dims[inc.coface[:, 1]] == 1]
     for layer in range(config.layers):
         prefix = f"layer{layer}"
-        h[low] = _affine([
-            (h, low),
-            (_messages(h, face, weights, f"{prefix}.face", config), low),
-            (_messages(h, coface, weights, f"{prefix}.coface", config), low),
-        ], weights, f"{prefix}.update", config)
+        h[low] = _update(h, low, [(f"{prefix}.face", face),
+                                  (f"{prefix}.coface", coface)],
+                         f"{prefix}.update", weights, config)
     return CellStates(cell_ids=states.cell_ids, states=h,
                       layer=states.layer + config.layers)
 
@@ -458,13 +491,9 @@ def _stage1(states: CellStates, inc: _Incidence, weights: ReasoningWeights,
 def _stage2(states: CellStates, inc: _Incidence, weights: ReasoningWeights,
             config: ReasoningConfig) -> CellStates:
     h = states.states
-    every = np.arange(len(h))
-    updated = _affine([
-        (h, every),
-        (_messages(h, inc.face, weights, "final.face", config), every),
-        (_messages(h, inc.coface, weights, "final.coface", config), every),
-        (_messages(h, inc.upper, weights, "final.upper", config), every),
-    ], weights, "final.update", config)
+    updated = _update(h, np.arange(len(h)), [
+        ("final.face", inc.face), ("final.coface", inc.coface),
+        ("final.upper", inc.upper)], "final.update", weights, config)
     return CellStates(cell_ids=states.cell_ids, states=updated,
                       layer=states.layer + 1)
 
@@ -510,6 +539,6 @@ def project(h: np.ndarray, weights: ReasoningWeights) -> np.ndarray:
     if h.shape != (w.shape[1],):
         raise DimensionMismatch(
             f"pooled embedding has shape {h.shape}, projection expects ({w.shape[1]},)")
-    out = _products([h], w)[0]
+    [[out]] = _products([([h], w)])
     out += weights["proj.b"]
     return out

@@ -26,17 +26,21 @@ def sequential_initialize(config):
     }
 
 
-def serial_products(xs, w, rows):
-    """``[x_j @ w_j.T]`` as ``reasoning._products`` computes it, on the
-    calling thread: the same float64 tiles of ``rows`` rows by one input's
-    width, cast and multiplied in row-block order."""
-    outs = [np.empty(x.shape[:-1] + (w.shape[0],)) for x in xs]
-    edges = np.cumsum([0] + [x.shape[-1] for x in xs])
-    for lo in range(0, w.shape[0], rows):
-        for x, out, left, right in zip(xs, outs, edges, edges[1:]):
-            out[..., lo:lo + rows] = (
-                x @ w[lo:lo + rows, left:right].astype(np.float64).T)
-    return outs
+def serial_products(jobs, rows):
+    """For each job ``(xs, w)``, ``[x_j @ w_j.T]`` as
+    ``reasoning._products`` computes it, on the calling thread: the same
+    float64 tiles of ``rows`` rows by one input's width, cast and
+    multiplied job by job in row-block order."""
+    results = []
+    for xs, w in jobs:
+        outs = [np.empty(x.shape[:-1] + (w.shape[0],)) for x in xs]
+        edges = np.cumsum([0] + [x.shape[-1] for x in xs])
+        for lo in range(0, w.shape[0], rows):
+            for x, out, left, right in zip(xs, outs, edges, edges[1:]):
+                out[..., lo:lo + rows] = (
+                    x @ w[lo:lo + rows, left:right].astype(np.float64).T)
+        results.append(outs)
+    return results
 
 
 def identity_weights(config):

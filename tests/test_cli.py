@@ -2,6 +2,7 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from toporag import cli, errors
@@ -457,6 +458,22 @@ def test_weight_header_with_unknown_mode_is_validation_error(
     assert main(["answer", triangle_path, "--question", "q", "--config", cfg,
                  "--mock-llm", "echo"]) == 2
     assert "bad weight file header" in capsys.readouterr().err
+
+
+def test_answer_rejects_non_finite_weight_file(tmp_path, capsys,
+                                              triangle_path):
+    weights_path = tmp_path / "w.bin"
+    ReasoningWeights.initialize(ReasoningConfig(
+        layers=2, state_dim=16, proj_dim=16)).save(weights_path)
+    data = bytearray(weights_path.read_bytes())
+    data[-4:] = np.float32(np.nan).tobytes()  # the last bias of proj
+    weights_path.write_bytes(bytes(data))
+    cfg = write_small_cfg(tmp_path / "w.cfg", weights_path=str(weights_path))
+    assert main(["answer", triangle_path, "--question", "q", "--config", cfg,
+                 "--mock-llm", "echo", "--artifacts-dir",
+                 str(tmp_path / "out")]) == 2
+    assert "weight proj.b is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "soft_prompt.json").exists()
 
 
 def test_answer_accepts_weight_file_with_other_seed(tmp_path, capsys,

@@ -19,10 +19,11 @@ from toporag.reasoning import (CellStates, ReasoningConfig, ReasoningWeights,
 from toporag.retrieval import Subcomplex, retrieve_subcomplex
 
 from helpers import (FIXTURES, k4, lift, make_graph, random_connected_graph,
-                     triangle)
-from reference_reasoning import (identity_weights, naive_forward,
-                                 pairwise_forward, sequential_initialize,
-                                 serial_products, upper_adjacent)
+                     triangle, two_triangles)
+from reference_reasoning import (_pairwise_messages, identity_weights,
+                                 naive_forward, pairwise_forward,
+                                 sequential_initialize, serial_products,
+                                 upper_adjacent)
 
 D = 16
 
@@ -180,17 +181,20 @@ def graph_with_loops_and_parallels(rng: random.Random):
     return make_graph(n, edges)
 
 
-def partial_subcomplex(cx: CellComplex, rng: random.Random) -> Subcomplex:
-    """A random cell subset, not closed under boundaries."""
-    chosen = {c for c in range(cx.num_cells) if rng.random() < 0.6} or {0}
+def selection(cx: CellComplex, cells) -> Subcomplex:
+    """The given cells, not closed under boundaries."""
+    cells = set(cells)
     return Subcomplex(
         complex=cx,
-        cells0=tuple(c for c in cx.cell_ids(0) if c in chosen),
-        cells1=tuple(c for c in cx.cell_ids(1) if c in chosen),
-        cells2=tuple(c for c in cx.cell_ids(2) if c in chosen),
-        total_prize=0.0, total_cost=0.0,
-        certificate=(), provenance=(),
-    )
+        **{f"cells{k}": tuple(c for c in cx.cell_ids(k) if c in cells)
+           for k in range(3)},
+        total_prize=0.0, total_cost=0.0, certificate=(), provenance=())
+
+
+def partial_subcomplex(cx: CellComplex, rng: random.Random) -> Subcomplex:
+    """A random cell subset, not closed under boundaries."""
+    return selection(
+        cx, {c for c in range(cx.num_cells) if rng.random() < 0.6} or {0})
 
 
 @pytest.mark.parametrize("activation", reasoning.ACTIVATIONS)
@@ -240,6 +244,42 @@ def test_forward_matches_pairwise_reference_on_fixture():
             states.states,
             pairwise_forward(sub, weights, cfg.reasoning_config()),
             rtol=1e-12, atol=1e-12)
+
+
+def selections_with_silent_cells():
+    """Subcomplexes where some cell receives no message of some kind: an
+    isolated vertex, every kind of single cell, and 0-cells none of whose
+    cofaces is selected beside a 2-cell missing some of its edges."""
+    isolated = lift(make_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3)]), dim=D)
+    assert not isolated.coboundary[4]
+    cx = lift(two_triangles(), dim=D, seed=3)
+    two_cell = cx.cell_ids(2)[0]
+    edges = cx.cells[two_cell].boundary
+    yield full_subcomplex(isolated)
+    yield from (selection(cx, [cx.cell_ids(k)[0]]) for k in range(3))
+    yield selection(cx, [*cx.cell_ids(0), edges[0], two_cell])
+    yield selection(cx, [*cx.cell_ids(0)[:2], *edges[1:], *cx.cell_ids(2)])
+
+
+@pytest.mark.parametrize("cast_pool", [2], indirect=True)
+@pytest.mark.parametrize("aggregation", reasoning.AGGREGATIONS)
+def test_forward_on_cells_without_messages(cast_pool, aggregation,
+                                           monkeypatch):
+    monkeypatch.setattr(reasoning, "_CAST_ROWS", 5)  # D = 16: 5, 5, 5, 1
+    for trial, sub in enumerate(selections_with_silent_cells()):
+        cfg = config(layers=2, aggregation=aggregation, seed=trial)
+        weights = ReasoningWeights.initialize(cfg)
+        states = forward(sub, weights, cfg)
+        np.testing.assert_allclose(states.states,
+                                   pairwise_forward(sub, weights, cfg),
+                                   rtol=1e-12, atol=1e-12)
+        expected = naive_forward(sub, weights, cfg)
+        for cid in states.cell_ids:
+            assert np.allclose(states.state(cid), expected[cid], atol=1e-6)
+        with monkeypatch.context() as patch:
+            patch.setattr(reasoning, "_products", held_serial_products)
+            assert np.array_equal(states.states,
+                                  forward(sub, weights, cfg).states)
 
 
 # --- permutation equivariance ---
@@ -414,11 +454,41 @@ def _zero_proj_dim(header, payload):
     return {**header, "proj_dim": 0, "arrays": arrays}, payload
 
 
+def poison(payload, header, values):
+    """The payload with ``values[name] = (flat index, value)`` written."""
+    weights = np.frombuffer(payload, dtype="<f4").copy()
+    offset = 0
+    for spec in header["arrays"]:
+        if spec["name"] in values:
+            index, value = values[spec["name"]]
+            weights[offset + index] = value
+        offset += int(np.prod(spec["shape"]))
+    return weights.tobytes()
+
+
+def _nan_proj(header, payload):
+    return header, poison(payload, header, {"proj.w": (0, np.nan)})
+
+
+def _inf_and_nan(header, payload):
+    # layer0.face.w[1, 1] comes first in the file
+    return header, poison(payload, header, {
+        "proj.w": (0, np.nan), "layer0.face.w": (2 * D + 1, np.inf)})
+
+
+def _negative_inf_bias(header, payload):
+    return header, poison(payload, header, {"final.upper.b": (D - 1, -np.inf)})
+
+
 @pytest.mark.parametrize("damage,message", [
     (_cut_payload, "truncated weight payload"),
     (_shrink_state_dim, "weight shapes do not match the config"),
     (_zero_proj_dim, "proj_dim must be positive"),
-], ids=["truncated", "shapes-disagree", "proj_dim-0"])
+    (_nan_proj, "weight proj.w is not finite"),
+    (_inf_and_nan, "weight layer0.face.w is not finite"),
+    (_negative_inf_bias, "weight final.upper.b is not finite"),
+], ids=["truncated", "shapes-disagree", "proj_dim-0", "nan", "inf-and-nan",
+        "negative-inf-bias"])
 def test_damaged_weight_file_is_validation_error(tmp_path, damage, message):
     path = tmp_path / "w.bin"
     ReasoningWeights.initialize(config(proj_dim=9)).save(path)
@@ -488,7 +558,7 @@ def test_initialize_params_share_one_buffer():
     assert_one_buffer(ReasoningWeights.initialize(config()))
 
 
-def test_linear_matches_whole_matrix_cast():
+def test_products_matches_whole_matrix_cast():
     rng = np.random.default_rng(4)
     cfg = ReasoningConfig(layers=1, state_dim=D, proj_dim=300, seed=2)
     weights = ReasoningWeights.initialize(cfg)
@@ -498,7 +568,7 @@ def test_linear_matches_whole_matrix_cast():
                           w.astype(np.float64) @ h + b.astype(np.float64))
     x = rng.standard_normal((5, D))
     expected = x @ w.T.astype(np.float64)
-    [got] = _products([x], w)
+    [[got]] = _products([([x], w)])
     assert got.shape == (5, 300)
     # BLAS may sum the ragged last block in another order: a few ulps
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
@@ -525,18 +595,35 @@ def test_forward_holds_no_float64_weight_copy():
 # --- no wasted work ---
 
 def record_products(patch, weights) -> list[tuple[str, list[np.ndarray]]]:
-    """Patch ``_products`` to record (map name, inputs) per call."""
+    """Patch ``_products`` to record (map name, inputs) per job."""
     names = {id(weights[name]): name.removesuffix(".w")
              for name in weights.params if name.endswith(".w")}
     products = reasoning._products
     calls = []
 
-    def recording(xs, w):
-        calls.append((names[id(w)], [x.copy() for x in xs]))
-        return products(xs, w)
+    def recording(jobs):
+        calls.extend((names[id(w)], [x.copy() for x in xs]) for xs, w in jobs)
+        return products(jobs)
 
     patch.setattr(reasoning, "_products", recording)
     return calls
+
+
+def count_dispatches(patch) -> list[int]:
+    """Patch ``_cast_pool`` to run each dispatch's tasks in order on the
+    calling thread, recording the number of tasks of each."""
+    dispatches = []
+
+    class CountingPool:
+        _max_workers = 2
+
+        def map(self, fn, items):
+            items = list(items)
+            dispatches.append(len(items))
+            return map(fn, items)
+
+    patch.setattr(reasoning, "_cast_pool", CountingPool)
+    return dispatches
 
 
 def test_degenerate_subcomplex_casts_no_message_map(monkeypatch):
@@ -546,10 +633,16 @@ def test_degenerate_subcomplex_casts_no_message_map(monkeypatch):
     assert sub.degenerate and len(sub.all_cells()) == 1
     weights = ReasoningWeights.initialize(cfg)
     calls = record_products(monkeypatch, weights)
+    dispatches = count_dispatches(monkeypatch)
     forward(sub, weights, cfg)
-    assert [name for name, _ in calls] == [
+    assert [name for name, xs in calls if any(len(x) for x in xs)] == [
         "layer0.update", "layer1.update", "final.update"]
-    assert all(len(x) == 1 for _, xs in calls for x in xs)
+    # the one cell's own state, and no message: none lands on it
+    for name, xs in calls:
+        assert [len(x) for x in xs] == (
+            [1] + [0] * (len(xs) - 1) if name.endswith(".update")
+            else [0] * len(xs)), name
+    assert len(dispatches) == cfg.layers + 1
 
 
 def test_stage1_passes_no_two_cell_row_to_a_map(monkeypatch):
@@ -567,12 +660,15 @@ def test_stage1_passes_no_two_cell_row_to_a_map(monkeypatch):
         with monkeypatch.context() as patch:
             calls = record_products(patch, weights)
             stage1_pass(states, sub, weights, cfg)
-        updates = [xs for name, xs in calls if name.endswith(".update")]
+        updates = [xs for name, xs in calls
+                   if name.endswith(".update") and len(xs[0])]
         assert len(updates) == (cfg.layers if (dims <= 1).any() else 0)
         for name, xs in calls:
             assert name.startswith("layer")
             if name.endswith(".update"):
-                assert all(len(x) == (dims <= 1).sum() for x in xs)
+                # every 0- and 1-cell's own state; at most one message each
+                assert len(xs[0]) == (dims <= 1).sum()
+                assert all(len(x) <= len(xs[0]) for x in xs[1:])
             # 2-cell states never change in stage 1, so any row equal to
             # one would be a 2-cell's
             for x in xs:
@@ -581,17 +677,96 @@ def test_stage1_passes_no_two_cell_row_to_a_map(monkeypatch):
     assert checked >= 2
 
 
+def landing_cells(sub):
+    """{message: sorted cells at least one message lands on}, read off
+    the complex: stage 1's face and coface, then stage 2's three."""
+    cx, selected = sub.complex, set(sub.all_cells())
+    low = {c for c in selected if cx.cells[c].dim <= 1}
+    faces = {c for c in selected
+             if any(b in selected for b in cx.cells[c].boundary)}
+    cofaces = {c for c in selected
+               if any(z in selected for z in cx.coboundary[c])}
+    return {
+        "face": sorted(faces & low),
+        "coface": sorted(c for c in low if any(
+            z in selected and cx.cells[z].dim == 1
+            for z in cx.coboundary[c])),
+        "final.face": sorted(faces),
+        "final.coface": sorted(cofaces),
+        "final.upper": sorted(c for c in selected if any(
+            w in selected and z in selected
+            for w, z in upper_adjacent(cx, c))),
+    }
+
+
+def test_update_multiplies_only_cells_a_message_lands_on(monkeypatch):
+    rng = random.Random(17)
+    for trial in range(6):
+        cx = lift(graph_with_loops_and_parallels(rng), dim=D, seed=trial)
+        sub = full_subcomplex(cx) if trial < 2 else partial_subcomplex(cx, rng)
+        cfg = config(layers=2, seed=trial,
+                     aggregation=reasoning.AGGREGATIONS[trial % 2])
+        weights = ReasoningWeights.initialize(cfg)
+        states = init_states(sub, state_dim=D)
+        landing = landing_cells(sub)
+        with monkeypatch.context() as patch:
+            calls = record_products(patch, weights)
+            stage2_pass(states, sub, weights, cfg)
+        # the message parts of final.update: one row per landing cell,
+        # its aggregated message, in cell order
+        final = dict(calls)["final.update"]
+        inc = reasoning._Incidence(sub)
+        for x, message, pairs in zip(final[1:], ("face", "coface", "upper"),
+                                     (inc.face, inc.coface, inc.upper)):
+            cells = landing[f"final.{message}"]
+            rows = [sub.all_cells().index(c) for c in cells]
+            expected = _pairwise_messages(states.states, pairs, weights,
+                                          f"final.{message}", cfg)[rows]
+            np.testing.assert_allclose(x, expected, rtol=1e-12, atol=1e-12)
+        with monkeypatch.context() as patch:
+            calls = record_products(patch, weights)
+            stage1_pass(states, sub, weights, cfg)
+        for name, xs in calls:
+            if name.endswith(".update") and len(xs[0]):
+                assert [len(x) for x in xs[1:]] == [
+                    len(landing["face"]), len(landing["coface"])], name
+
+
+def test_forward_dispatches_once_per_step(monkeypatch):
+    monkeypatch.setattr(reasoning, "_CAST_ROWS", 5)  # 4 blocks a map
+    rng = random.Random(19)
+    cfg = config(layers=3, proj_dim=11)
+    weights = ReasoningWeights.initialize(cfg)
+    subs = [full_subcomplex(lift(k4(), dim=D))] + [
+        partial_subcomplex(lift(graph_with_loops_and_parallels(rng), dim=D,
+                                seed=trial), rng) for trial in range(6)]
+    for i, sub in enumerate(subs):
+        with monkeypatch.context() as patch:
+            dispatches = count_dispatches(patch)
+            states = forward(sub, weights, cfg)
+            stepped = len(dispatches)
+            project(pool(states, sub), weights)
+        # a message step and an update step per stage-1 layer and in
+        # stage 2; every step has work on k4
+        assert stepped <= 2 * cfg.layers + 2
+        if i == 0:
+            assert stepped == 2 * cfg.layers + 2
+        assert len(dispatches) == stepped + 1
+        # one task per worker, whatever the number of maps and blocks
+        assert dispatches == [2] * len(dispatches)
+
+
 # --- row blocks on a pool, BLAS held to one thread ---
 
-def held_serial_products(xs, w):
+def held_serial_products(jobs):
     """The serial reference over the same tiles and BLAS thread count."""
     with reasoning._one_blas_thread():
-        return serial_products(xs, w, rows=reasoning._CAST_ROWS)
+        return serial_products(jobs, rows=reasoning._CAST_ROWS)
 
 
 @pytest.fixture
 def cast_pool(request, monkeypatch):
-    """Run ``_products``' blocks on a pool of ``request.param`` workers."""
+    """Deal ``_products``' blocks to a pool of ``request.param`` workers."""
     executor = ThreadPoolExecutor(max_workers=request.param)
     monkeypatch.setattr(reasoning, "_cast_pool", lambda: executor)
     yield executor
@@ -604,18 +779,23 @@ def cast_pool(request, monkeypatch):
 def test_pooled_linear_matches_serial_reference(cast_pool, rows, batch):
     rng = np.random.default_rng(rows + len(batch))
     k = 1024
-    w = rng.standard_normal((rows, k)).astype(np.float32)
-    # one, two and three column blocks; after the first, each input has
-    # its own number of rows, as distinct rows do
-    for widths in ((k,), (512, 512), (384, 128, 512)):
+    # one, two and three column blocks, each a job with its own weights
+    # (so its own number of row blocks), all in one call; after the
+    # first, each input has its own number of rows, as distinct rows do
+    jobs = []
+    for extra, widths in enumerate(((k,), (512, 512), (384, 128, 512))):
+        w = rng.standard_normal((rows + extra, k)).astype(np.float32)
         xs = [rng.standard_normal(
                   ((batch[0] + 3 * j,) if batch and j else batch) + (width,))
               for j, width in enumerate(widths)]
-        got = _products(xs, w)
-        expected = held_serial_products(xs, w)
-        assert len(got) == len(xs)
-        for x, out, want in zip(xs, got, expected):
-            assert out.shape == x.shape[:-1] + (rows,)
+        jobs.append((xs, w))
+    got = _products(jobs)
+    expected = held_serial_products(jobs)
+    assert len(got) == len(jobs)
+    for (xs, w), outs, wants in zip(jobs, got, expected):
+        assert len(outs) == len(xs)
+        for x, out, want in zip(xs, outs, wants):
+            assert out.shape == x.shape[:-1] + (len(w),)
             assert np.array_equal(out, want)
 
 
@@ -653,6 +833,8 @@ def test_blas_held_to_one_thread_and_restored(monkeypatch):
     seen = []
 
     class RecordingPool:
+        _max_workers = 2
+
         def map(self, fn, items):
             seen.append(get())
             return map(fn, items)
