@@ -36,6 +36,6 @@ for policy in (DFS, BFS, SpanningTreePolicy("random", seed=4)):
     print(f"  cycle basis rank over GF(2): {report.rank_gf2} "
           f"(independent={report.independent}, spans={report.spans})")
     for cid in complex.cell_ids(2):
-        walk = complex.cells[cid].walk
-        names = [graph.node_text(v) for v, _ in walk] + [graph.node_text(walk[0][0])]
+        walk = complex.cycle_vertices(cid)
+        names = [graph.node_text(v) for v in walk + walk[:1]]
         print("  2-cell glued along: " + " -> ".join(names))

@@ -70,7 +70,8 @@ def _complex_dump(complex, report, cache: str = "") -> dict:
             "1": [{"id": c.id, "boundary": list(c.boundary)}
                   for c in complex.cells if c.dim == 1],
             "2": [{"id": c.id, "boundary": list(c.boundary),
-                   "walk": [list(step) for step in c.walk]}
+                   "walk": [list(step) for step in zip(
+                       complex.cycle_vertices(c.id), c.boundary)]}
                   for c in complex.cells if c.dim == 2],
         },
         "embedding": {

@@ -33,6 +33,8 @@ def _check_vector(vec: np.ndarray, dim: int) -> None:
         raise DimensionMismatch(f"expected dim {dim}, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise ProviderUnavailable("embedding contains non-finite entries")
+    if not vec.any():
+        raise ProviderUnavailable("embedding is all zeros")
 
 
 class DeterministicProvider:

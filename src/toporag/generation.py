@@ -79,11 +79,10 @@ def textualize(sub: Subcomplex) -> TextualizedSubcomplex:
         edge_lines.append(edge_line(cid))
     cycle_lines = []
     for cid in sub.cells2:
-        cell = complex.cells[cid]
-        walk_vertices = [v for v, _ in cell.walk] + [cell.walk[0][0]]
-        head = "cycle: " + " -> ".join(str(original(v)) for v in walk_vertices)
+        walk = complex.cycle_vertices(cid)
+        head = "cycle: " + " -> ".join(str(original(v)) for v in walk + walk[:1])
         cycle_lines.append(head)
-        cycle_lines.extend(edge_line(ecid) for _, ecid in cell.walk)
+        cycle_lines.extend(edge_line(ecid) for ecid in complex.cells[cid].boundary)
 
     rendered = "\n".join(list(node_lines) + list(edge_lines) + list(cycle_lines))
     return TextualizedSubcomplex(

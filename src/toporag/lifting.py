@@ -56,24 +56,21 @@ class Cell:
 
     ``boundary`` lists cell ids of dimension ``dim - 1``: the two
     endpoint 0-cells of a 1-cell (one entry for a flagged self-loop),
-    or the ordered 1-cells around a 2-cell's attaching cycle. For
-    2-cells, ``walk`` spells the closed cycle as (vertex cell id,
-    edge cell id) steps: vertex i is joined to vertex i+1 (mod n) by
-    edge i.
+    or the 1-cells around a 2-cell's attaching cycle in walk order, the
+    non-tree edge last (see :meth:`CellComplex.cycle_vertices`).
     """
 
     id: int
     dim: int
     boundary: tuple[int, ...] = ()
-    walk: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
 class CellComplex:
     """An immutable 2-dimensional cell complex over a textual graph.
 
-    ``coboundary[c]`` lists the cofaces of cell ``c`` in ascending id;
-    for a vertex these are its 1-cells, a self-loop once. ``components``
+    ``adjacency[v]`` lists ``(1-cell id, other endpoint)`` for each
+    non-loop 1-cell at vertex ``v``, in ascending 1-cell id. ``components``
     holds the sorted vertex ids of each connected component of the
     graph, found by the traversal that grows the spanning forest.
     ``embeddings`` is a float32 ``(num_cells, d)`` matrix whose row
@@ -86,7 +83,7 @@ class CellComplex:
     n0: int
     n1: int
     n2: int
-    coboundary: tuple[tuple[int, ...], ...]
+    adjacency: tuple[tuple[tuple[int, int], ...], ...]
     components: tuple[tuple[int, ...], ...]
     tree_edges: frozenset[int]
     policy: SpanningTreePolicy
@@ -117,15 +114,28 @@ class CellComplex:
     def vector(self, cell_id: int) -> np.ndarray:
         return self.embeddings[cell_id]
 
+    def cycle_vertices(self, cell_id: int) -> list[int]:
+        """A 2-cell's cycle vertices in walk order: vertex i is joined to
+        vertex i+1 (mod n) by boundary 1-cell i. The walk starts at the
+        smaller endpoint of the last 1-cell, the non-tree edge."""
+        boundary = self.cells[cell_id].boundary
+        vertices = [min(self.cells[boundary[-1]].boundary)]
+        for ecid in boundary[:-1]:
+            a, b = self.cells[ecid].boundary
+            vertices.append(b if vertices[-1] == a else a)
+        return vertices
 
-def _adjacency(graph: TextualGraph) -> list[list[tuple[int, int]]]:
-    """Per-vertex list of (edge index, other endpoint), in edge order."""
+
+def _adjacency(graph: TextualGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per-vertex (1-cell id, other endpoint) pairs in edge order,
+    self-loops left out. Each 1-cell id is one int object, which both
+    endpoints, the forest's parent edges and the 2-cell boundaries share."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.num_nodes)]
-    for idx, edge in enumerate(graph.edges):
-        adj[edge.src].append((idx, edge.dst))
-        if edge.dst != edge.src:
-            adj[edge.dst].append((idx, edge.src))
-    return adj
+    for ecid, edge in enumerate(graph.edges, graph.num_nodes):
+        if edge.src != edge.dst:
+            adj[edge.src].append((ecid, edge.dst))
+            adj[edge.dst].append((ecid, edge.src))
+    return tuple(map(tuple, adj))
 
 
 def grow_forest(roots, neighbors, depth_first: bool = False):
@@ -163,15 +173,14 @@ def grow_forest(roots, neighbors, depth_first: bool = False):
     return parent, parent_edge, depth, trees
 
 
-def _rooted_forest(graph: TextualGraph, policy: SpanningTreePolicy):
-    """The spanning forest ``policy`` grows, as ``grow_forest`` returns it,
-    each tree rooted at its smallest vertex.
+def _rooted_forest(graph: TextualGraph, adj, policy: SpanningTreePolicy):
+    """The spanning forest ``policy`` grows over the adjacency ``adj``,
+    as ``grow_forest`` returns it, each tree rooted at its smallest vertex.
 
     DFS and BFS scan neighbors in edge order; random runs Kruskal over
     the edge order shuffled by the policy seed, then roots that forest
     by a BFS over its tree edges. Self-loops never enter the forest.
     """
-    adj = _adjacency(graph)
     if policy.kind != "random":
         return grow_forest(range(graph.num_nodes), adj.__getitem__,
                            depth_first=policy.kind == "dfs")
@@ -191,16 +200,16 @@ def _rooted_forest(graph: TextualGraph, policy: SpanningTreePolicy):
         ru, rv = find(edge.src), find(edge.dst)
         if ru != rv:
             root[ru] = rv
-            tree.add(idx)
+            tree.add(graph.num_nodes + idx)
     return grow_forest(range(graph.num_nodes), lambda v: [
-        (idx, w) for idx, w in adj[v] if idx in tree])
+        (ecid, w) for ecid, w in adj[v] if ecid in tree])
 
 
-def _fundamental_cycle(forest, edge_index: int,
+def _fundamental_cycle(forest, ecid: int,
                        edge: Edge) -> tuple[list[int], list[int]]:
-    """Path in a rooted forest from the smaller endpoint of a non-tree
-    edge to the other, closed by that edge: (vertices, edges). Both
-    endpoints lie in one tree of the forest."""
+    """Path in a rooted forest from the smaller endpoint of the non-tree
+    1-cell ``ecid`` to the other, closed by that 1-cell: (vertices,
+    1-cell ids). Both endpoints lie in one tree of the forest."""
     parent, parent_edge, depth = forest[:3]
     start, goal = min(edge.src, edge.dst), max(edge.src, edge.dst)
     up_a, edges_a = [start], []
@@ -216,7 +225,7 @@ def _fundamental_cycle(forest, edge_index: int,
             b = parent[b]
             up_b.append(b)
     return (up_a + up_b[-2::-1] + [start],
-            edges_a + edges_b[::-1] + [edge_index])
+            edges_a + edges_b[::-1] + [ecid])
 
 
 def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
@@ -242,42 +251,34 @@ def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
         raise DimensionMismatch(f"mixed embedding shapes: {sorted(dims)}")
 
     n0, n1 = graph.num_nodes, graph.num_edges
-    forest = _rooted_forest(graph, policy)
-    tree = frozenset(forest[1].values())
+    adjacency = _adjacency(graph)
+    forest = _rooted_forest(graph, adjacency, policy)
+    tree = frozenset(ecid - n0 for ecid in forest[1].values())
     # every non-loop edge outside the forest (which holds no loop) is a 2-cell
     n2 = sum(edge.src != edge.dst for edge in graph.edges) - len(tree)
     z = np.empty((n0 + n1 + n2, dims.pop()[0] if dims else 0), dtype=np.float32)
     z[:n0 + n1] = np.array([*node_vecs, *edge_vecs],
                            dtype=np.float32).reshape(n0 + n1, z.shape[1])
-    z0, z1 = z[:n0], z[n0:n0 + n1]
     cells = [Cell(id=v, dim=0) for v in range(n0)]
     two_cells = []
-    coboundary = [[] for _ in range(n0 + n1 + n2)]
     for idx, edge in enumerate(graph.edges):
         boundary = (edge.src,) if edge.src == edge.dst else (edge.src, edge.dst)
         cells.append(Cell(id=n0 + idx, dim=1, boundary=boundary))
-        for v in boundary:
-            coboundary[v].append(n0 + idx)
         if len(boundary) == 1:
             logger.warning("self-loop edge %d excluded from 2-cell attachment", idx)
             continue
         if idx in tree:
             continue
         cid = n0 + n1 + len(two_cells)
-        vertices, edges = _fundamental_cycle(forest, idx, edge)
-        cycle = tuple(n0 + e for e in edges)
-        two_cells.append(Cell(id=cid, dim=2, boundary=cycle,
-                              walk=tuple(zip(vertices, cycle))))
-        for ecid in cycle:
-            coboundary[ecid].append(cid)
-        members = [z0[v] for v in vertices[:-1]] + [z1[e] for e in edges]
-        z[cid] = np.array(members, dtype=np.float64).mean(axis=0)
+        vertices, cycle = _fundamental_cycle(forest, n0 + idx, edge)
+        two_cells.append(Cell(id=cid, dim=2, boundary=tuple(cycle)))
+        z[cid] = z[vertices[:-1] + cycle].astype(np.float64).mean(axis=0)
 
     return CellComplex(
         graph=graph,
         cells=(*cells, *two_cells),
         n0=n0, n1=n1, n2=n2,
-        coboundary=tuple(tuple(c) for c in coboundary),
+        adjacency=adjacency,
         components=tuple(tuple(sorted(c)) for c in forest[3]),
         tree_edges=tree,
         policy=policy,
@@ -292,7 +293,7 @@ def betti1(graph: TextualGraph, count_self_loops: bool = False) -> int:
     Defaults to excluding self-loops so the value matches the number
     of attachable 2-cells; with ``count_self_loops`` each loop adds 1.
     """
-    n_components = len(_rooted_forest(graph, BFS)[3])
+    n_components = len(_rooted_forest(graph, _adjacency(graph), BFS)[3])
     n_edges = graph.num_edges
     if not count_self_loops:
         n_edges -= sum(1 for e in graph.edges if e.src == e.dst)

@@ -109,6 +109,9 @@ def assign_prizes(ranked0: list[tuple[int, float]],
     under the default ``alg3`` indexing, or ``k_d - r - 1`` under
     ``eq14``. Every 2-cell gets the sum of its boundary 0/1-cell
     prizes minus ``|boundary edges| * C2``.
+
+    A fundamental cycle is simple, so each 1-cell carries its own prize
+    plus half of each ranked endpoint's; integer prizes sum exactly.
     """
     if indexing not in PRIZE_INDEXING:
         raise ValueError(f"indexing must be one of {PRIZE_INDEXING}")
@@ -123,11 +126,14 @@ def assign_prizes(ranked0: list[tuple[int, float]],
             prize[cid] = value
             out.append(RankedCell(cell_id=cid, rank=rank, similarity=sim,
                                   prize=value))
+    share = {r.cell_id: r.prize for r in ranked_cells1}
+    for r in ranked_cells0:
+        for ecid, _ in complex.adjacency[r.cell_id]:
+            share[ecid] = share.get(ecid, 0.0) + r.prize / 2
     for cid in complex.cell_ids(2):
-        cell = complex.cells[cid]
-        boundary_prize = sum(prize.get(v, 0.0) for v, _ in cell.walk)
-        boundary_prize += sum(prize.get(e, 0.0) for e in cell.boundary)
-        prize[cid] = boundary_prize - len(cell.boundary) * c2
+        boundary = complex.cells[cid].boundary
+        prize[cid] = (sum(share.get(e, 0.0) for e in boundary)
+                      - len(boundary) * c2)
     return PrizeAssignment(
         prize=prize, c2=c2, c_edge=c_edge, ranked0=tuple(ranked_cells0),
         ranked1=tuple(ranked_cells1),
@@ -149,15 +155,14 @@ def enforce_boundary_consistency(complex: CellComplex,
                                  cells: set[int] | frozenset[int]) -> frozenset[int]:
     """Close a selection under boundaries; idempotent.
 
-    Every selected 2-cell pulls in its boundary 1-cells and cycle
-    vertices; every selected 1-cell pulls in its endpoints.
+    Every selected 2-cell pulls in its boundary 1-cells; every selected
+    1-cell, its endpoints, and so the cycle vertices of those 2-cells.
     """
     closed = set(cells)
     for cid in list(closed):
         cell = complex.cells[cid]
         if cell.dim == 2:
             closed.update(cell.boundary)
-            closed.update(v for v, _ in cell.walk)
     for cid in list(closed):
         cell = complex.cells[cid]
         if cell.dim == 1:
@@ -180,22 +185,13 @@ def selection_objective(complex: CellComplex, assignment: PrizeAssignment,
     return total_prize, cost
 
 
-def _neighbors(complex: CellComplex, v: int):
-    """(1-cell, other endpoint) for each non-loop 1-cell at vertex ``v``,
-    in ascending 1-cell id."""
-    for ecid in complex.coboundary[v]:
-        boundary = complex.cells[ecid].boundary
-        if len(boundary) == 2:
-            yield ecid, boundary[1] if boundary[0] == v else boundary[0]
-
-
 def _selection_certificate(complex: CellComplex,
                            cells: frozenset[int]) -> tuple[int, ...]:
     """Spanning 1-cells of the selection's 1-skeleton: the parent edges
     of the BFS trees grown from its sorted vertices, in visiting order."""
     roots = sorted(c for c in cells if complex.cells[c].dim == 0)
     forest = grow_forest(roots, lambda v: [
-        (ecid, w) for ecid, w in _neighbors(complex, v) if ecid in cells])
+        (ecid, w) for ecid, w in complex.adjacency[v] if ecid in cells])
     return tuple(forest[1].values())
 
 
@@ -426,7 +422,7 @@ def _connector_path(complex: CellComplex, selected: frozenset[int],
         d, hops, v = heapq.heappop(heap)
         if (d, hops) > dist[v]:
             continue
-        for ecid, w in _neighbors(complex, v):
+        for ecid, w in complex.adjacency[v]:
             nd, nh = d + weight(ecid), hops + 1
             cur = dist.get(w)
             if cur is None or (nd, nh) < cur:
@@ -456,7 +452,7 @@ def _solve_component(complex: CellComplex, assignment: PrizeAssignment,
     node_prize = {v: assignment.prize_of(v) for v in component_vertices}
     edges = []
     for cid in sorted({ecid for v in component_vertices
-                       for ecid, _ in _neighbors(complex, v)}):
+                       for ecid, _ in complex.adjacency[v]}):
         u, v = complex.cells[cid].boundary
         # ranked edge prizes are folded into endpoint half-prizes
         if cid in ranked1:
@@ -496,15 +492,12 @@ def _solve_component(complex: CellComplex, assignment: PrizeAssignment,
 
     def with_two_cell(selection: frozenset[int], cid: int) -> frozenset[int] | None:
         """Closure of selection plus the 2-cell, connected if needed."""
-        cell = complex.cells[cid]
-        cycle_vertices = {v for v, _ in cell.walk}
-        if not cycle_vertices <= vset:
+        cycle = set(complex.cycle_vertices(cid))
+        if not cycle <= vset:
             return None
         addition = {cid}
-        if not cycle_vertices & {c for c in selection
-                                 if complex.cells[c].dim == 0}:
-            connector = _connector_path(complex, selection, assignment,
-                                        cycle_vertices)
+        if not cycle & {c for c in selection if complex.cells[c].dim == 0}:
+            connector = _connector_path(complex, selection, assignment, cycle)
             if connector is None:
                 return None
             addition |= connector
@@ -549,7 +542,7 @@ def solve_subcomplex(complex: CellComplex, assignment: PrizeAssignment,
         if r.prize > 0:
             seeds.add(complex.cells[r.cell_id].boundary[0])
     for cid in selected2:
-        seeds.add(complex.cells[cid].walk[0][0])
+        seeds.add(complex.cycle_vertices(cid)[0])
 
     if not seeds:
         if fallback is None:

@@ -77,17 +77,36 @@ class StubProviderHandler(BaseHTTPRequestHandler):
     def log_message(self, *args):
         pass
 
+    def reply(self, request: bytes):
+        """The body that answers ``request``."""
+        return self.body
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        self.rfile.read(length)
-        payload = (self.body if isinstance(self.body, bytes)
-                   else json.dumps(self.body).encode())
+        body = self.reply(self.rfile.read(length))
+        payload = body if isinstance(body, bytes) else json.dumps(body).encode()
         self.send_response(self.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length",
                          str(len(payload) + 16 * self.truncate))
         self.end_headers()
         self.wfile.write(payload)
+
+
+class EmbeddingStub(StubProviderHandler):
+    """An embeddings endpoint: one row of width ``dim`` per input text, all
+    zeros for the texts in ``zero_texts`` and a unit vector otherwise."""
+
+    dim = 16
+    zero_texts = frozenset()
+
+    def reply(self, request: bytes):
+        texts = json.loads(request)["input"]
+        return {"data": [
+            {"index": i,
+             "embedding": [float(text not in self.zero_texts)]
+             + [0.0] * (self.dim - 1)}
+            for i, text in enumerate(texts)]}
 
 
 @contextmanager

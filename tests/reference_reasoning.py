@@ -2,7 +2,8 @@
 
 Kept independent of the package implementation: plain dict states and
 explicit Python loops straight over the complex's incidence fields,
-with upper adjacency defined here from the boundary and coboundary.
+with cofaces found here by transposing the boundaries, and upper
+adjacency defined from the boundaries and those cofaces.
 Also the sequential weight initializer the chunked, threaded one must
 reproduce bit for bit, the serial twin of the pooled block products,
 and the pairwise pass: the package's vectorized pass before its affine
@@ -84,12 +85,18 @@ def _agg(messages, dim, config):
     return total
 
 
+def cofaces(complex, cell_id):
+    """Cells whose boundary holds ``cell_id``, in ascending id: the
+    transpose of the boundaries, a self-loop once at its vertex."""
+    return [cell.id for cell in complex.cells if cell_id in cell.boundary]
+
+
 def upper_adjacent(complex, cell_id):
     """(neighbor, shared coface) pairs: cells of the same dimension
     incident to a common coface, one pair per shared coface, sorted by
     coface then neighbor."""
     pairs = []
-    for cof in complex.coboundary[cell_id]:
+    for cof in cofaces(complex, cell_id):
         for w in complex.cells[cof].boundary:
             if w != cell_id:
                 pairs.append((w, cof))
@@ -116,12 +123,12 @@ def naive_forward(sub, weights, config):
                 new[cid] = h[cid]
                 continue
             faces = [b for b in cell.boundary if b in selected]
-            cofaces = [c for c in complex.coboundary[cid]
-                       if c in selected and complex.cells[c].dim == 1]
+            above = [c for c in cofaces(complex, cid)
+                     if c in selected and complex.cells[c].dim == 1]
             mf = _agg([_affine(weights, f"{prefix}.face", [h[cid], h[y]], kind)
                        for y in faces], d, config)
             mc = _agg([_affine(weights, f"{prefix}.coface", [h[cid], h[z]], kind)
-                       for z in cofaces], d, config)
+                       for z in above], d, config)
             new[cid] = _affine(weights, f"{prefix}.update",
                                [h[cid], mf, mc], kind)
         h = new
@@ -130,13 +137,13 @@ def naive_forward(sub, weights, config):
     for cid in sorted(selected):
         cell = complex.cells[cid]
         faces = [b for b in cell.boundary if b in selected]
-        cofaces = [c for c in complex.coboundary[cid] if c in selected]
+        above = [c for c in cofaces(complex, cid) if c in selected]
         uppers = [(w, cof) for w, cof in upper_adjacent(complex, cid)
                   if w in selected and cof in selected]
         mf = _agg([_affine(weights, "final.face", [h[cid], h[y]], kind)
                    for y in faces], d, config)
         mc = _agg([_affine(weights, "final.coface", [h[cid], h[z]], kind)
-                   for z in cofaces], d, config)
+                   for z in above], d, config)
         mu = _agg([_affine(weights, "final.upper", [h[cid], h[w], h[cof]], kind)
                    for w, cof in uppers], d, config)
         final[cid] = _affine(weights, "final.update", [h[cid], mf, mc, mu], kind)

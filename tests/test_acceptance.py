@@ -28,11 +28,12 @@ from toporag.lifting import (BFS, DFS, SpanningTreePolicy, betti1,
                              lift_graph, verify_cycle_basis)
 from toporag.pipeline import retrieve_for_question
 from toporag.reasoning import ReasoningConfig, ReasoningWeights, forward, pool
-from toporag.retrieval import (assign_prizes, is_feasible, retrieve_subcomplex,
-                               solve_subcomplex, subcomplex_to_dict,
-                               topk_cells, topk_two_cells)
+from toporag.retrieval import (PRIZE_INDEXING, assign_prizes, is_feasible,
+                               retrieve_subcomplex, solve_subcomplex,
+                               subcomplex_to_dict, topk_cells, topk_two_cells)
 from toporag.service import make_server
 
+import reference_lifting as ref
 from helpers import FIXTURES, lift, make_graph, random_connected_graph
 from reference_pcst import brute_force_subcomplex
 from reference_reasoning import naive_forward
@@ -125,24 +126,37 @@ def test_c04_prize_formula_exactness_and_monotonicity():
     while tuples_checked < 1000:
         n = rng.randrange(5, 25)
         m = rng.randrange(n + 3, 2 * n + 12)
-        g = random_connected_graph(rng, n, m)
+        base = random_connected_graph(rng, n, m)
+        # a self-loop at a vertex that is ranked first, and a parallel edge
+        loop_at = rng.randrange(n)
+        parallel = base.edges[rng.randrange(m)]
+        g = make_graph(n, [(e.src, e.dst) for e in base.edges]
+                       + [(loop_at, loop_at), (parallel.src, parallel.dst)])
         cx = lift(g, dim=4, seed=n)
         k = rng.randrange(1, 6)
+        others = [v for v in cx.cell_ids(0) if v != loop_at]
         ranked0 = [(cid, 1.0 - 0.01 * i) for i, cid in enumerate(
-            rng.sample(list(cx.cell_ids(0)), min(k, cx.n0)))]
+            [loop_at] + rng.sample(others, min(k, cx.n0) - 1))]
         ranked1 = [(cid, 1.0 - 0.01 * i) for i, cid in enumerate(
             rng.sample(list(cx.cell_ids(1)), min(k, cx.n1)))]
         c2 = rng.choice([0.0, 0.1, 0.5, 1.0, 2.5])
-        a = assign_prizes(ranked0, ranked1, cx, k, c2)
+        indexing = rng.choice(PRIZE_INDEXING)
+        offset = {"alg3": 0, "eq14": 1}[indexing]
+        a = assign_prizes(ranked0, ranked1, cx, k, c2, indexing=indexing)
         higher = assign_prizes(ranked0, ranked1, cx, k,
-                               c2 + rng.choice([0.1, 1.0]))
+                               c2 + rng.choice([0.1, 1.0]), indexing=indexing)
         # independent substitution: rebuild the prize map from scratch
-        direct = {cid: float(k - r) for r, (cid, _) in enumerate(ranked0)}
-        direct.update({cid: float(k - r) for r, (cid, _) in enumerate(ranked1)})
+        direct = {cid: float(k - r - offset)
+                  for r, (cid, _) in enumerate(ranked0)}
+        direct.update({cid: float(k - r - offset)
+                       for r, (cid, _) in enumerate(ranked1)})
         for cid in cx.cell_ids(2):
             cell = cx.cells[cid]
+            # the cycle's vertices as the reference lift finds them
+            vertices, _ = ref.fundamental_cycle(
+                g, cx.edge_index(cell.boundary[-1]), cx.tree_edges)
             boundary_prize = 0.0
-            for v, _ in cell.walk:
+            for v in vertices[:-1]:
                 boundary_prize += direct.get(v, 0.0)
             for e in cell.boundary:
                 boundary_prize += direct.get(e, 0.0)

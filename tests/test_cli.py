@@ -14,8 +14,8 @@ from toporag.pipeline import (build_embedding_provider, lift_from_config,
 from toporag.reasoning import (ReasoningConfig, ReasoningWeights, forward,
                                pool, project)
 
-from helpers import (FIXTURES, StubProviderHandler, base_url, make_graph,
-                     stub_server, triangle)
+from helpers import (FIXTURES, EmbeddingStub, StubProviderHandler, base_url,
+                     make_graph, stub_server, triangle)
 
 
 @pytest.fixture
@@ -225,6 +225,16 @@ def test_embedding_request_times_out_at_llm_timeout_ms(tmp_path, capsys,
             release.set()
     assert time.perf_counter() - started < 5  # not the 30 s default
     assert "provider" in capsys.readouterr().err
+
+
+def test_all_zero_question_embedding_exits_3(tmp_path, capsys, triangle_path,
+                                             monkeypatch):
+    cfg = write_small_cfg(tmp_path / "http.cfg", embed_provider="http")
+    with stub_server(EmbeddingStub, zero_texts={"q"}) as stub:
+        monkeypatch.setenv("EMBED_API_BASE", base_url(stub))
+        assert main(["retrieve", triangle_path, "--question", "q",
+                     "--config", cfg]) == 3
+    assert "provider error: embedding is all zeros" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [0, -1])

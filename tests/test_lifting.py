@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from toporag.lifting import (BFS, DFS, SpanningTreePolicy, betti1, gf2_rank,
 import reference_lifting as ref
 from helpers import (k4, lift, make_graph, path3, random_connected_graph,
                      triangle, two_triangles)
-from reference_reasoning import upper_adjacent
+from reference_reasoning import cofaces, upper_adjacent
 
 POLICIES = [DFS, BFS, SpanningTreePolicy("random", seed=11)]
 
@@ -26,9 +27,9 @@ def cycles_of(cx):
     repeated at the end."""
     cycles = []
     for cid in cx.cell_ids(2):
-        walk = cx.cells[cid].walk
-        cycles.append(([v for v, _ in walk] + [walk[0][0]],
-                       [cx.edge_index(e) for _, e in walk]))
+        walk = cx.cycle_vertices(cid)
+        cycles.append((walk + walk[:1],
+                       [cx.edge_index(e) for e in cx.cells[cid].boundary]))
     return cycles
 
 
@@ -65,24 +66,36 @@ def test_path_graph_skeleton_counts():
     assert (cx.n0, cx.n1, cx.n2) == (3, 2, 0)
 
 
+def non_loop_cofaces(cx, v):
+    """(1-cell, other endpoint) for each non-loop coface of vertex ``v``,
+    from the reference transpose of the boundaries."""
+    return [(c, w) for c in cofaces(cx, v)
+            for w in cx.cells[c].boundary if w != v]
+
+
 def test_triangle_coboundary_incidence():
     cx = lift(triangle())
     for v in range(3):
-        assert len(cx.coboundary[v]) == 2
-        assert all(cx.cells[c].dim == 1 for c in cx.coboundary[v])
+        assert len(cx.adjacency[v]) == 2
+        assert all(cx.cells[c].dim == 1 for c, _ in cx.adjacency[v])
+        assert list(cx.adjacency[v]) == non_loop_cofaces(cx, v)
 
 
 def test_coboundary_is_transpose_of_boundary():
     rng = random.Random(0)
-    g = random_connected_graph(rng, 50, 120)
-    cx = lift(g)
-    # oracle: check both directions over every (cell, boundary-cell) pair
-    for cell in cx.cells:
-        for b in cell.boundary:
-            assert cell.id in cx.coboundary[b]
-    for cid, cofaces in enumerate(cx.coboundary):
-        for c in cofaces:
-            assert cid in cx.cells[c].boundary
+    for g in (random_connected_graph(rng, 50, 120), messy_graph(rng)):
+        cx = lift(g)
+        assert len(cx.adjacency) == cx.n0
+        for v in cx.cell_ids(0):
+            assert list(cx.adjacency[v]) == non_loop_cofaces(cx, v)
+        # oracle: check both directions over every (1-cell, endpoint) pair
+        for cell in cx.cells:
+            if cell.dim == 1 and len(cell.boundary) == 2:
+                for b in cell.boundary:
+                    assert cell.id in [c for c, _ in cx.adjacency[b]]
+        for v, pairs in enumerate(cx.adjacency):
+            for c, w in pairs:
+                assert v != w and set(cx.cells[c].boundary) == {v, w}
 
 
 # --- spanning trees ---
@@ -217,9 +230,10 @@ def test_parallel_edge_makes_two_gon():
     g = make_graph(2, [(0, 1), (0, 1)])
     cx = lift(g)
     assert cx.n2 == 1
-    cell = cx.cells[cx.cell_ids(2)[0]]
-    assert len(cell.boundary) == 2
-    assert len(cell.walk) == 2
+    cid = cx.cell_ids(2)[0]
+    assert len(cx.cells[cid].boundary) == 2
+    assert cx.cycle_vertices(cid) == [0, 1]
+    assert cycles_of(cx) == [ref.fundamental_cycle(g, 1, cx.tree_edges)]
 
 
 def test_self_loop_skipped_with_warning(caplog):
@@ -239,11 +253,16 @@ def test_two_cell_walks_are_closed():
         g = random_connected_graph(rng, 12, 30)
         cx = lift(g)
         for cid in cx.cell_ids(2):
-            walk = cx.cells[cid].walk
-            for i, (v, ecid) in enumerate(walk):
-                w = walk[(i + 1) % len(walk)][0]
+            walk = cx.cycle_vertices(cid)
+            boundary = cx.cells[cid].boundary
+            assert len(walk) == len(boundary)
+            for i, (v, ecid) in enumerate(zip(walk, boundary)):
+                w = walk[(i + 1) % len(walk)]
                 endpoints = set(cx.cells[ecid].boundary)
                 assert endpoints == {v, w} or (v == w and endpoints == {v})
+            vertices, _ = ref.fundamental_cycle(
+                g, cx.edge_index(boundary[-1]), cx.tree_edges)
+            assert walk == vertices[:-1]
 
 
 def test_upper_adjacency_via_shared_coface():
@@ -269,6 +288,26 @@ def test_every_nontree_nonloop_edge_in_exactly_one_two_cell():
                       if i not in cx.tree_edges]
     assert sorted(count) == sorted(non_tree_edges)
     assert all(v == 1 for v in count.values())
+
+
+def test_lift_stores_each_boundary_incidence_once():
+    """A 2-cell keeps only its boundary, whose 1-cell ids are the ints
+    the adjacency holds: no per-step walk, no coface lists."""
+    g = random_connected_graph(random.Random(1), 500, 1500)
+    provider = DeterministicProvider(dim=8, seed=7)
+    node_vecs = embed_texts([n.text for n in g.nodes], provider)
+    edge_vecs = embed_texts([e.text for e in g.edges], provider)
+    tracemalloc.start()
+    try:
+        cx = lift_graph(g, node_vecs, edge_vecs, policy=DFS)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    entries = sum(len(cx.cells[cid].boundary) for cid in cx.cell_ids(2))
+    assert entries == 146_657
+    # a boundary slot is 8 bytes; a stored (vertex, 1-cell) walk step or
+    # a coface list entry would add far more than the 24 left over
+    assert retained <= 32 * entries
 
 
 def messy_graph(rng):

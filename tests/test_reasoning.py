@@ -23,7 +23,7 @@ from helpers import (FIXTURES, k4, lift, make_graph, random_connected_graph,
 from reference_reasoning import (_pairwise_messages, identity_weights,
                                  naive_forward, pairwise_forward,
                                  sequential_initialize, serial_products,
-                                 upper_adjacent)
+                                 cofaces, upper_adjacent)
 
 D = 16
 
@@ -251,7 +251,7 @@ def selections_with_silent_cells():
     isolated vertex, every kind of single cell, and 0-cells none of whose
     cofaces is selected beside a 2-cell missing some of its edges."""
     isolated = lift(make_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3)]), dim=D)
-    assert not isolated.coboundary[4]
+    assert not isolated.adjacency[4]
     cx = lift(two_triangles(), dim=D, seed=3)
     two_cell = cx.cell_ids(2)[0]
     edges = cx.cells[two_cell].boundary
@@ -308,18 +308,18 @@ def permute_complex(cx: CellComplex, rng: random.Random) -> tuple[CellComplex, d
             cell,
             id=nid,
             boundary=tuple(mapping[b] for b in cell.boundary),
-            walk=tuple((mapping[v], mapping[e]) for v, e in cell.walk),
         )
-    coboundary = [tuple()] * cx.num_cells
-    for cid in range(cx.num_cells):
-        coboundary[mapping[cid]] = tuple(mapping[c] for c in cx.coboundary[cid])
+    adjacency = [tuple()] * cx.n0
+    for v in range(cx.n0):
+        adjacency[mapping[v]] = tuple((mapping[e], mapping[w])
+                                      for e, w in cx.adjacency[v])
     z = np.empty_like(cx.embeddings)
     for cid in range(cx.num_cells):
         z[mapping[cid]] = cx.embeddings[cid]
     permuted = dataclasses.replace(
         cx,
         cells=tuple(new_cells),
-        coboundary=tuple(coboundary),
+        adjacency=tuple(adjacency),
         embeddings=z,
     )
     return permuted, mapping
@@ -684,15 +684,15 @@ def landing_cells(sub):
     low = {c for c in selected if cx.cells[c].dim <= 1}
     faces = {c for c in selected
              if any(b in selected for b in cx.cells[c].boundary)}
-    cofaces = {c for c in selected
-               if any(z in selected for z in cx.coboundary[c])}
+    above = {c for c in selected
+             if any(z in selected for z in cofaces(cx, c))}
     return {
         "face": sorted(faces & low),
         "coface": sorted(c for c in low if any(
             z in selected and cx.cells[z].dim == 1
-            for z in cx.coboundary[c])),
+            for z in cofaces(cx, c))),
         "final.face": sorted(faces),
-        "final.coface": sorted(cofaces),
+        "final.coface": sorted(above),
         "final.upper": sorted(c for c in selected if any(
             w in selected and z in selected
             for w, z in upper_adjacent(cx, c))),
@@ -776,7 +776,7 @@ def cast_pool(request, monkeypatch):
 @pytest.mark.parametrize("cast_pool", [1, 2], indirect=True)
 @pytest.mark.parametrize("rows", [1, 127, 128, 129, 300, 1024])
 @pytest.mark.parametrize("batch", [(), (0,), (5,), (40,)])
-def test_pooled_linear_matches_serial_reference(cast_pool, rows, batch):
+def test_pooled_products_matches_serial_reference(cast_pool, rows, batch):
     rng = np.random.default_rng(rows + len(batch))
     k = 1024
     # one, two and three column blocks, each a job with its own weights

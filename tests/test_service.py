@@ -17,7 +17,7 @@ from toporag.reasoning import ReasoningConfig, ReasoningWeights
 from toporag.service import (MAX_BODY_BYTES, ServiceState, load_manifest,
                              make_server)
 
-from helpers import FIXTURES, base_url, stub_server, triangle
+from helpers import EmbeddingStub, FIXTURES, base_url, stub_server, triangle
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +126,27 @@ def test_provider_down_503(tmp_path, monkeypatch):
             finally:
                 server.shutdown()
                 server.server_close()
+
+
+def test_all_zero_question_embedding_503(monkeypatch):
+    config = PipelineConfig(embed_dim=16, state_dim=16, proj_dim=16,
+                            embed_provider="http")
+    with stub_server(EmbeddingStub, zero_texts={"q"}) as stub:
+        monkeypatch.setenv("EMBED_API_BASE", base_url(stub))
+        server = make_server(config, {"scene": str(FIXTURES / "scene_loop")},
+                             port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address
+        try:
+            resp = requests.post(f"http://{host}:{port}/v1/retrieve",
+                                 json={"graph_id": "scene", "question": "q"},
+                                 timeout=10)
+            assert resp.status_code == 503
+            assert resp.json() == {"error": "embedding is all zeros"}
+        finally:
+            server.shutdown()
+            server.server_close()
 
 
 class _SlowEchoClient:
