@@ -776,7 +776,7 @@ def cast_pool(request, monkeypatch):
 @pytest.mark.parametrize("cast_pool", [1, 2], indirect=True)
 @pytest.mark.parametrize("rows", [1, 127, 128, 129, 300, 1024])
 @pytest.mark.parametrize("batch", [(), (0,), (5,), (40,)])
-def test_pooled_products_matches_serial_reference(cast_pool, rows, batch):
+def test_pooled_linear_matches_serial_reference(cast_pool, rows, batch):
     rng = np.random.default_rng(rows + len(batch))
     k = 1024
     # one, two and three column blocks, each a job with its own weights
