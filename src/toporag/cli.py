@@ -83,11 +83,8 @@ def _complex_dump(complex, report, cache: str = "") -> dict:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8; an ``OSError`` is an ``IoError``."""
-    try:
+    with errors.file_io(path, "write"):
         path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise errors.IoError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def cmd_lift(args) -> int:
@@ -106,10 +103,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    try:
+    with errors.file_io(args.dump):
         text = Path(args.dump).read_bytes()
-    except OSError as exc:
-        raise errors.IoError(f"{args.dump}: {exc.strerror}") from exc
 
     def field(doc, key: str, kind: type):
         return errors.typed(doc.get(key), kind, f"{args.dump}: {key}",
@@ -155,10 +150,8 @@ def cmd_answer(args) -> int:
     print(outcome.answer)
     if args.artifacts_dir:
         art = Path(args.artifacts_dir)
-        try:
+        with errors.file_io(art, "create"):
             art.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise errors.IoError(f"cannot create {art}: {exc.strerror}") from exc
         _write_text(art / "prompt.txt", outcome.bundle.prompt)
         _write_text(art / "soft_prompt.json", json.dumps(
             {"projected": [float(x) for x in outcome.projected]}))

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError, parse_json, typed
+from .errors import ValidationError, file_io, parse_json, read_text, typed
 from .generation import (DEFAULT_MAX_INPUT_TOKENS, DEFAULT_MAX_NEW_TOKENS,
                          DEFAULT_PREAMBLE, MockLlmClient)
 from .lifting import SpanningTreePolicy
@@ -108,7 +108,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Parse a flat ``key = value`` config file."""
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
     values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, ValidationError).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -128,4 +128,5 @@ def save_config(config: PipelineConfig, path: str | Path) -> None:
     lines = []
     for f in dataclasses.fields(PipelineConfig):
         lines.append(f"{f.name} = {json.dumps(getattr(config, f.name))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with file_io(path, "write"):
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

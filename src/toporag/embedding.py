@@ -23,18 +23,19 @@ import numpy as np
 
 from .errors import (CacheCorrupt, DimensionMismatch, IoError,
                      ProviderRejected, ProviderUnavailable, ValidationError,
-                     ZeroVector, parse_json, typed)
+                     ZeroVector, file_io, parse_json, typed)
 
 DEFAULT_DIM = 1024
 
 
-def _check_vector(vec: np.ndarray, dim: int) -> None:
+def _check_vector(vec: np.ndarray, dim: int, what: str = "embedding",
+                  error: type = ProviderUnavailable) -> None:
     if vec.shape != (dim,):
         raise DimensionMismatch(f"expected dim {dim}, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
-        raise ProviderUnavailable("embedding contains non-finite entries")
+        raise error(f"{what} contains non-finite entries")
     if not vec.any():
-        raise ProviderUnavailable("embedding is all zeros")
+        raise error(f"{what} is all zeros")
 
 
 class DeterministicProvider:
@@ -179,31 +180,30 @@ _CACHE_LOCK = threading.Lock()  # single-writer contract for cache files
 
 
 def _read_cache(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
-    try:
-        with path.open("rb") as fh:
-            what = f"{path}: bad header"
-            header = typed(parse_json(fh.readline(), what, CacheCorrupt),
-                           dict, what, CacheCorrupt)
-            dim = typed(header.get("dim"), int, f"{what}: dim", CacheCorrupt)
-            count = typed(header.get("count"), int, f"{what}: count",
+    with file_io(path), path.open("rb") as fh:
+        what = f"{path}: bad header"
+        header = typed(parse_json(fh.readline(), what, CacheCorrupt),
+                       dict, what, CacheCorrupt)
+        dim = typed(header.get("dim"), int, f"{what}: dim", CacheCorrupt)
+        count = typed(header.get("count"), int, f"{what}: count",
+                      CacheCorrupt)
+        typed(header.get("fingerprint"), str, f"{what}: fingerprint",
+              CacheCorrupt)
+        entries: dict[str, np.ndarray] = {}
+        row_bytes = dim * 4
+        for _ in range(count):
+            key_line = fh.readline()
+            if not key_line.endswith(b"\n"):
+                raise CacheCorrupt(f"{path}: truncated key line")
+            text = typed(parse_json(key_line, f"{path}: bad key line",
+                                    CacheCorrupt),
+                         str, f"{path}: key line", CacheCorrupt)
+            payload = fh.read(row_bytes)
+            if len(payload) != row_bytes:
+                raise CacheCorrupt(f"{path}: truncated vector payload")
+            entries[text] = np.frombuffer(payload, dtype="<f4").copy()
+            _check_vector(entries[text], dim, f"{path}: row {text!r:.80}",
                           CacheCorrupt)
-            typed(header.get("fingerprint"), str, f"{what}: fingerprint",
-                  CacheCorrupt)
-            entries: dict[str, np.ndarray] = {}
-            row_bytes = dim * 4
-            for _ in range(count):
-                key_line = fh.readline()
-                if not key_line.endswith(b"\n"):
-                    raise CacheCorrupt(f"{path}: truncated key line")
-                text = typed(parse_json(key_line, f"{path}: bad key line",
-                                        CacheCorrupt),
-                             str, f"{path}: key line", CacheCorrupt)
-                payload = fh.read(row_bytes)
-                if len(payload) != row_bytes:
-                    raise CacheCorrupt(f"{path}: truncated vector payload")
-                entries[text] = np.frombuffer(payload, dtype="<f4").copy()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
     return header, entries
 
 
@@ -214,15 +214,13 @@ def _write_cache(path: Path, dim: int, fingerprint: str,
         ensure_ascii=False,
     )
     tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
+    with file_io(path, "write"):
         with tmp.open("wb") as fh:
             fh.write(header.encode("utf-8") + b"\n")
             for text, vec in entries.items():
                 fh.write(json.dumps(text, ensure_ascii=False).encode("utf-8") + b"\n")
                 fh.write(np.asarray(vec, dtype="<f4").tobytes())
         os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def cache_get_or_embed(texts: list[str], provider,
@@ -232,16 +230,20 @@ def cache_get_or_embed(texts: list[str], provider,
     Cache layout: one JSON header line (dim, provider fingerprint,
     entry count), then per entry a JSON-encoded key line followed by
     ``dim`` little-endian float32 values. A fingerprint mismatch
-    invalidates the whole file. Hits never touch the provider.
+    invalidates the whole file. Hits never touch the provider, and pass
+    the provider rows' check: a non-finite or all-zero row is
+    :class:`CacheCorrupt`.
     """
     cache = Path(cache)
     with _CACHE_LOCK:
+        with file_io(cache):
+            stored = cache.exists() and cache.stat().st_size > 0
         entries: dict[str, np.ndarray] = {}
-        if cache.exists() and cache.stat().st_size > 0:
-            header, stored = _read_cache(cache)
+        if stored:
+            header, rows = _read_cache(cache)
             if (header.get("fingerprint") == provider.fingerprint
                     and header.get("dim") == provider.dim):
-                entries = stored
+                entries = rows
         missing = [t for t in dict.fromkeys(texts) if t not in entries]
         if missing:
             if not os.access(cache.parent, os.W_OK):
@@ -249,7 +251,6 @@ def cache_get_or_embed(texts: list[str], provider,
                               "a writable directory")
             for text, vec in zip(missing, embed_texts(missing, provider)):
                 entries[text] = vec
-            _write_cache(cache, provider.dim, provider.fingerprint, entries)
-        elif not cache.exists() or cache.stat().st_size == 0:
+        if missing or not stored:
             _write_cache(cache, provider.dim, provider.fingerprint, entries)
         return [entries[t].copy() for t in texts]

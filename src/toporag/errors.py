@@ -1,8 +1,13 @@
-"""Typed exceptions shared across the package, and the one parser and
-type check for documents read from outside it."""
+"""Typed exceptions shared across the package; the one rule for files,
+:func:`file_io` (and :func:`read_text` over it); and the one parser and
+type check for documents read from outside the package,
+:func:`parse_json` and :func:`typed`."""
 
 import json
+import os
 import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class ToporagError(Exception):
@@ -59,6 +64,30 @@ class DanglingCell(ToporagError):
 
 class EmptySubcomplex(ToporagError):
     """An operation requires at least one cell."""
+
+
+@contextmanager
+def file_io(path, action: str = "read"):
+    """Run a block of filesystem calls on ``path``: an ``OSError`` from it,
+    or a path holding a NUL byte, raises ``IoError("cannot <action>
+    <path>: <reason>")``. Other errors pass through unchanged."""
+    if "\0" in os.fspath(path):
+        raise IoError(f"cannot {action} {path}: path holds a NUL byte")
+    try:
+        yield
+    except OSError as exc:
+        raise IoError(f"cannot {action} {path}: {exc.strerror or exc}") from exc
+
+
+def read_text(path, error: type[ToporagError]) -> str:
+    """The text of file ``path``, read under :func:`file_io`; bytes that are
+    not UTF-8 raise ``error``, as in :func:`parse_json`."""
+    with file_io(path):
+        raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 def parse_json(text: str | bytes, what: str, error: type[ToporagError]):

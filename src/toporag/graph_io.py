@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (IoError, MissingGraphError, ParseError, ValidationError,
-                     parse_json, typed)
+                     file_io, parse_json, read_text, typed)
 
 VALID_DATASETS = ("explagraphs", "scenegraphs", "webqsp", "custom")
 
@@ -110,15 +110,9 @@ def check_question(question: str, where: str) -> None:
         raise ValidationError(f"{where}: empty question")
 
 
-def _read_error(path: Path, exc: OSError) -> IoError:
-    return IoError(f"cannot read {path}: {exc.strerror or exc}")
-
-
 def _load_json_graph(path: Path) -> TextualGraph:
-    try:
+    with file_io(path):
         raw = path.read_bytes()
-    except OSError as exc:
-        raise _read_error(path, exc) from exc
     data = parse_json(raw, str(path), ParseError)
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
         raise ParseError(f"{path}: expected object with 'nodes' and 'edges'")
@@ -141,18 +135,14 @@ def _load_json_graph(path: Path) -> TextualGraph:
 def _csv_rows(path: Path, ids: tuple[str, ...], text: str) -> list[tuple]:
     """``(*ids, text)`` per row of the CSV file ``path``, ids as ints; a
     missing id column, a missing or non-integer id cell is ParseError."""
-    if not path.exists():
-        raise ParseError(f"csv-pair graph missing {path.name} in {path.parent}")
     try:
-        with path.open(encoding="utf-8", newline="") as fh:
+        with file_io(path), path.open(encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh, restval="")  # a short row's cells: ""
             if not set(ids) <= set(reader.fieldnames or ()):
                 raise ParseError(f"{path}: expected header "
                                  + ",".join(ids + (text,)))
             return [tuple(int(row[key]) for key in ids) + (row.get(text, ""),)
                     for row in reader]
-    except OSError as exc:
-        raise _read_error(path, exc) from exc
     except (ValueError, csv.Error) as exc:  # ValueError: int(), UTF-8
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
 
@@ -167,14 +157,12 @@ def load_graph(path: str | Path, format: str | None = None) -> TextualGraph:
     """Load a textual graph from ``path``.
 
     ``format`` is ``"json"`` or ``"csv-pair"``; when omitted it is
-    inferred (a directory means csv-pair). Raises :class:`ParseError`
-    on malformed files or JSON values of the wrong type, and
-    :class:`ValidationError` on dangling edge endpoints or duplicate
-    node ids.
+    inferred (a directory means csv-pair). Raises :class:`IoError` on an
+    unusable file, :class:`ParseError` on malformed files or JSON values
+    of the wrong type, and :class:`ValidationError` on dangling edge
+    endpoints or duplicate node ids.
     """
     path = Path(path)
-    if not path.exists():
-        raise IoError(f"no such path: {path}")
     if format is None:
         format = "csv-pair" if path.is_dir() else "json"
     if format == "json":
@@ -206,10 +194,8 @@ def save_graph(graph: TextualGraph, path: str | Path) -> None:
     """Serialize ``graph`` as JSON; ``load_graph`` round-trips it exactly."""
     path = Path(path)
     payload = json.dumps(graph_to_dict(graph), ensure_ascii=False, indent=1)
-    try:
+    with file_io(path, "write"):
         path.write_text(payload + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def load_qa_fixture(path: str | Path) -> list[QaExample]:
@@ -225,7 +211,7 @@ def load_qa_fixture(path: str | Path) -> list[QaExample]:
             return []
         raise IoError(f"no such fixture directory: {root}")
     examples = []
-    for lineno, line in enumerate(questions.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(questions, ParseError).splitlines(), 1):
         if not line.strip():
             continue
         record = parse_json(line, f"{questions}:{lineno}", ParseError)

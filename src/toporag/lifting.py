@@ -287,16 +287,14 @@ def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
     )
 
 
-def betti1(graph: TextualGraph, count_self_loops: bool = False) -> int:
+def betti1(graph: TextualGraph) -> int:
     """First Betti number: independent cycles, summed per component.
 
-    Defaults to excluding self-loops so the value matches the number
-    of attachable 2-cells; with ``count_self_loops`` each loop adds 1.
+    Self-loops are excluded, so the value matches the number of
+    attachable 2-cells.
     """
     n_components = len(_rooted_forest(graph, _adjacency(graph), BFS)[3])
-    n_edges = graph.num_edges
-    if not count_self_loops:
-        n_edges -= sum(1 for e in graph.edges if e.src == e.dst)
+    n_edges = sum(1 for e in graph.edges if e.src != e.dst)
     return n_edges - graph.num_nodes + n_components
 
 
@@ -339,5 +337,5 @@ def verify_cycle_basis(complex: CellComplex) -> CycleBasisReport:
     return CycleBasisReport(
         rank_gf2=rank,
         independent=rank == complex.n2,
-        spans=rank == betti1(complex.graph, count_self_loops=False),
+        spans=rank == betti1(complex.graph),
     )

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptySubcomplex, IoError,
-                     ValidationError, parse_json, typed)
+from .errors import (DimensionMismatch, EmptySubcomplex, ValidationError,
+                     file_io, parse_json, typed)
 from .retrieval import Subcomplex
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -186,20 +186,13 @@ def _read_header(fh) -> tuple[list[tuple[str, tuple[int, ...]]],
     return arrays, config
 
 
-def _open_weight_file(path):
-    try:
-        return open(path, "rb")
-    except OSError as exc:
-        raise IoError(f"weight file {path}: {exc.strerror}") from exc
-
-
 def check_weight_file(path, expected: ReasoningConfig) -> None:
     """Raise ``ValidationError`` if the weight file's header disagrees with
     ``expected`` on the architecture; the seed may differ.
 
     Reads only the header line, not the weights.
     """
-    with _open_weight_file(path) as fh:
+    with file_io(path), open(path, "rb") as fh:
         _, got = _read_header(fh)
     mismatched = [
         f"{key}={getattr(got, key)} (config: {getattr(expected, key)})"
@@ -244,7 +237,7 @@ class ReasoningWeights:
                   for key, _ in _HEADER_FIELDS}
         header["arrays"] = [{"name": n, "shape": list(self.params[n].shape)}
                             for n in names]
-        with open(path, "wb") as fh:
+        with file_io(path, "write"), open(path, "wb") as fh:
             fh.write(json.dumps(header).encode("utf-8") + b"\n")
             for name in names:
                 fh.write(np.ascontiguousarray(self.params[name], "<f4"))
@@ -252,7 +245,7 @@ class ReasoningWeights:
     @classmethod
     def load(cls, path) -> "ReasoningWeights":
         """A :meth:`save` file's finite weights: one buffer, one read."""
-        with _open_weight_file(path) as fh:
+        with file_io(path), open(path, "rb") as fh:
             arrays, config = _read_header(fh)
             if sorted(arrays) != sorted(_layer_param_specs(config)):
                 raise ValidationError("weight shapes do not match the config")

@@ -31,9 +31,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .config import PipelineConfig
-from .errors import (IoError, ParseError, ProviderRejected,
-                     ProviderUnavailable, ValidationError, parse_json,
-                     typed)
+from .errors import (ParseError, ProviderRejected, ProviderUnavailable,
+                     ValidationError, file_io, parse_json, typed)
 from .graph_io import check_question, load_graph
 from .pipeline import (answer_question, build_embedding_provider,
                        build_llm_client, check_weights, lift_from_config,
@@ -50,14 +49,12 @@ def load_manifest(path: str | Path) -> dict[str, str]:
     """Manifest file: ``{"graphs": {"<graph_id>": "<graph path>"}}``.
 
     Relative graph paths are resolved against the manifest's directory.
-    Raises :class:`IoError` on an unreadable file, :class:`ParseError`
-    on malformed JSON or a missing ``graphs`` object, and
-    :class:`ValidationError` on a graph path that is not a string.
+    Raises :class:`ParseError` on malformed JSON or a missing ``graphs``
+    object, and :class:`ValidationError` on a graph path that is not a
+    string.
     """
-    try:
+    with file_io(path):
         text = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"manifest {path}: {exc.strerror}") from exc
     data = parse_json(text, str(path), ParseError)
     graphs = data.get("graphs") if isinstance(data, dict) else None
     if not isinstance(graphs, dict):

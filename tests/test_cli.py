@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,3 +515,99 @@ def test_bad_manifest_is_validation_error(tmp_path, capsys, small_cfg,
                  "--port", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+# Every file toporag reads or writes, and each way its path can be unusable:
+# missing (for an output: under a missing directory; `questions.jsonl`: a
+# missing fixture directory, since a directory without it is an empty
+# fixture), a directory, text that is not UTF-8, a NUL byte in a config path.
+FILE_CASES = [
+    ("config", "missing"), ("config", "directory"), ("config", "not-utf8"),
+    ("graph-json", "missing"), ("graph-json", "directory"),
+    ("graph-json", "not-utf8"),
+    ("csv-member", "missing"), ("csv-member", "directory"),
+    ("csv-member", "not-utf8"),
+    ("questions", "missing"), ("questions", "directory"),
+    ("questions", "not-utf8"),
+    ("manifest", "missing"), ("manifest", "directory"),
+    ("manifest", "not-utf8"),
+    ("weights", "missing"), ("weights", "directory"), ("weights", "nul"),
+    ("embed-cache", "missing"), ("embed-cache", "directory"),
+    ("embed-cache", "nul"),
+    ("stats-dump", "missing"), ("stats-dump", "directory"),
+    ("stats-dump", "not-utf8"),
+    ("out", "missing"), ("out", "directory"),
+    ("artifacts-dir", "missing"), ("artifacts-dir", "directory"),
+]
+
+
+@pytest.mark.parametrize("surface,kind", FILE_CASES,
+                         ids=[f"{s}-{k}" for s, k in FILE_CASES])
+def test_unusable_file_is_io_error_naming_it(tmp_path, capsys, small_cfg,
+                                              triangle_path, surface, kind):
+    where = tmp_path / "in"
+    where.mkdir()
+    name = {"csv-member": "nodes.csv", "questions": "questions.jsonl",
+            "artifacts-dir": "art"}.get(surface, "file")
+    path = where / name
+    if surface == "csv-member":
+        (where / "edges.csv").write_text("src,dst,edge_attr\n")
+    if surface == "questions" and kind == "missing":
+        path = where = tmp_path / "no-fixture"
+    if surface in ("embed-cache", "out") and kind == "missing":
+        path = tmp_path / "nope" / name
+    if surface == "artifacts-dir":
+        if kind == "missing":  # its parent is a file, so it cannot be made
+            (tmp_path / "blocker").write_text("")
+            path = tmp_path / "blocker" / name
+        else:  # a directory where prompt.txt goes
+            (path / "prompt.txt").mkdir(parents=True)
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe\n")
+    elif kind == "nul":
+        path = where / "fi\0le"
+    answer = ["answer", triangle_path, "--question", "q", "--mock-llm", "echo"]
+    cfg = str(tmp_path / "surface.cfg")
+    args = {
+        "config": ["lift", triangle_path, "--config", str(path)],
+        "graph-json": ["lift", str(path), "--format", "json",
+                       "--config", small_cfg],
+        "csv-member": ["lift", str(where), "--config", small_cfg],
+        "questions": ["eval", str(where), "--mock-llm", "lookup",
+                      "--config", small_cfg],
+        "manifest": ["serve", "--manifest", str(path), "--port", "0",
+                     "--config", small_cfg],
+        "weights": answer + ["--config", cfg],
+        "embed-cache": ["lift", triangle_path, "--config", cfg],
+        "stats-dump": ["stats", str(path)],
+        "out": ["lift", triangle_path, "--config", small_cfg,
+                "--out", str(path)],
+        "artifacts-dir": answer + ["--config", small_cfg,
+                                   "--artifacts-dir", str(path)],
+    }[surface]
+    key = {"weights": "weights_path", "embed-cache": "embed_cache"}.get(surface)
+    if key:
+        write_small_cfg(Path(cfg), **{key: str(path)})
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("row", [np.nan, 0.0], ids=["nan", "zero"])
+def test_bad_cached_row_is_cache_corrupt(tmp_path, capsys, row):
+    cache = tmp_path / "emb.cache"
+    cfg = write_small_cfg(tmp_path / "c.cfg", embed_cache=str(cache))
+    scene = str(FIXTURES / "scene_loop")
+    assert main(["lift", scene, "--config", cfg]) == 0
+    data = bytearray(cache.read_bytes())
+    start = data.index(b"\n", data.index(b"\n") + 1) + 1  # the first row
+    data[start:start + 16 * 4] = np.full(16, row, dtype="<f4").tobytes()
+    cache.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["retrieve", scene, "--question", "what is on the shelf?",
+                 "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(cache) in captured.err
