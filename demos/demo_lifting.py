@@ -20,8 +20,8 @@ print(f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges")
 for node in graph.nodes:
     print(f"  node {node.id}: {node.text}")
 for edge in graph.edges:
-    print(f"  edge: {graph.node_text(edge.src)} --[{edge.text}]--> "
-          f"{graph.node_text(edge.dst)}")
+    print(f"  edge: {graph.nodes[edge.src].text} --[{edge.text}]--> "
+          f"{graph.nodes[edge.dst].text}")
 
 provider = DeterministicProvider(dim=64, seed=0)
 node_vecs = embed_texts([n.text for n in graph.nodes], provider)
@@ -37,5 +37,5 @@ for policy in (DFS, BFS, SpanningTreePolicy("random", seed=4)):
           f"(independent={report.independent}, spans={report.spans})")
     for cid in complex.cell_ids(2):
         walk = complex.cycle_vertices(cid)
-        names = [graph.node_text(v) for v in walk + walk[:1]]
+        names = [graph.nodes[v].text for v in walk + walk[:1]]
         print("  2-cell glued along: " + " -> ".join(names))

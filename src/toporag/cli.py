@@ -67,12 +67,12 @@ def _complex_dump(complex, report, cache: str = "") -> dict:
         "policy": str(complex.policy),
         "tree_edges": sorted(complex.tree_edges),
         "cells": {
-            "1": [{"id": c.id, "boundary": list(c.boundary)}
-                  for c in complex.cells if c.dim == 1],
-            "2": [{"id": c.id, "boundary": list(c.boundary),
+            "1": [{"id": c, "boundary": list(complex.boundary(c))}
+                  for c in complex.cell_ids(1)],
+            "2": [{"id": c, "boundary": list(complex.boundary(c)),
                    "walk": [list(step) for step in zip(
-                       complex.cycle_vertices(c.id), c.boundary)]}
-                  for c in complex.cells if c.dim == 2],
+                       complex.cycle_vertices(c), complex.boundary(c))]}
+                  for c in complex.cell_ids(2)],
         },
         "embedding": {
             "dim": complex.embeddings.shape[1],

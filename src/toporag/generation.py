@@ -82,7 +82,7 @@ def textualize(sub: Subcomplex) -> TextualizedSubcomplex:
         walk = complex.cycle_vertices(cid)
         head = "cycle: " + " -> ".join(str(original(v)) for v in walk + walk[:1])
         cycle_lines.append(head)
-        cycle_lines.extend(edge_line(ecid) for ecid in complex.cells[cid].boundary)
+        cycle_lines.extend(edge_line(ecid) for ecid in complex.boundary(cid))
 
     rendered = "\n".join(list(node_lines) + list(edge_lines) + list(cycle_lines))
     return TextualizedSubcomplex(

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import (IoError, MissingGraphError, ParseError, ValidationError,
+from .errors import (MissingGraphError, ParseError, ValidationError,
                      file_io, parse_json, read_text, typed)
 
 VALID_DATASETS = ("explagraphs", "scenegraphs", "webqsp", "custom")
@@ -60,9 +60,6 @@ class TextualGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def node_text(self, node_id: int) -> str:
-        return self.nodes[node_id].text
 
     def original_id(self, node_id: int) -> int:
         return self.original_ids[node_id]
@@ -202,14 +199,11 @@ def load_qa_fixture(path: str | Path) -> list[QaExample]:
     """Load a QA fixture directory: ``questions.jsonl`` + per-example graphs.
 
     Each line is ``{"idx", "question", "answers", "graph"}`` with the graph
-    path relative to the fixture root. Returns examples ordered by idx.
+    path relative to the fixture root. Returns examples ordered by idx. A
+    directory without ``questions.jsonl`` is an :class:`IoError` naming it.
     """
     root = Path(path)
     questions = root / "questions.jsonl"
-    if not questions.exists():
-        if root.is_dir():
-            return []
-        raise IoError(f"no such fixture directory: {root}")
     examples = []
     for lineno, line in enumerate(read_text(questions, ParseError).splitlines(), 1):
         if not line.strip():

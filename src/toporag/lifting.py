@@ -13,15 +13,17 @@ Cell ids are dense and dimension-ordered: 0-cells are ``0..n0-1``
 (equal to node ids), 1-cells ``n0..n0+n1-1`` (in edge order), 2-cells
 after that (in non-tree-edge order). Row ``c`` of the complex's
 embedding matrix is cell ``c``'s vector, so the cells of one dimension
-are a row slice.
+are a row slice. The complex is arrays, built once (see :class:`CellComplex`).
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from collections import deque
+from array import array
+from collections import deque, namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,42 +50,32 @@ class SpanningTreePolicy:
 
 DFS = SpanningTreePolicy("dfs")
 BFS = SpanningTreePolicy("bfs")
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One cell of the complex.
-
-    ``boundary`` lists cell ids of dimension ``dim - 1``: the two
-    endpoint 0-cells of a 1-cell (one entry for a flagged self-loop),
-    or the 1-cells around a 2-cell's attaching cycle in walk order, the
-    non-tree edge last (see :meth:`CellComplex.cycle_vertices`).
-    """
-
-    id: int
-    dim: int
-    boundary: tuple[int, ...] = ()
+CellView = namedtuple("CellView", "id dim boundary")  # see CellComplex.cells
 
 
 @dataclass(frozen=True)
 class CellComplex:
     """An immutable 2-dimensional cell complex over a textual graph.
 
-    ``adjacency[v]`` lists ``(1-cell id, other endpoint)`` for each
-    non-loop 1-cell at vertex ``v``, in ascending 1-cell id. ``components``
-    holds the sorted vertex ids of each connected component of the
-    graph, found by the traversal that grows the spanning forest.
-    ``embeddings`` is a float32 ``(num_cells, d)`` matrix whose row
-    ``c`` is cell ``c``'s vector; ``fingerprint`` names the provider
-    that embedded the texts.
-    """
+    Edge ``i`` joins ``edge_src[i]`` and ``edge_dst[i]`` (int32; equal for a
+    self-loop). Two CSRs (int64 offsets, int32 ids) hold 2-cell ``j``'s
+    boundary, ``two_edges[two_ptr[j]:two_ptr[j + 1]]``, and vertex ``v``'s
+    non-loop 1-cells and their other ends, ``adj_edge``/``adj_other`` over
+    ``adj_ptr[v]:adj_ptr[v + 1]``. ``components`` holds each component's
+    sorted vertices; row ``c`` of the float32 ``embeddings`` is cell ``c``'s
+    vector, and ``fingerprint`` names the embedding provider."""
 
     graph: TextualGraph
-    cells: tuple[Cell, ...]
     n0: int
     n1: int
     n2: int
-    adjacency: tuple[tuple[tuple[int, int], ...], ...]
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    two_ptr: np.ndarray
+    two_edges: np.ndarray
+    adj_ptr: np.ndarray
+    adj_edge: np.ndarray
+    adj_other: np.ndarray
     components: tuple[tuple[int, ...], ...]
     tree_edges: frozenset[int]
     policy: SpanningTreePolicy
@@ -95,16 +87,39 @@ class CellComplex:
         return self.n0 + self.n1 + self.n2
 
     def cell_ids(self, dim: int) -> range:
-        if dim == 0:
-            return range(self.n0)
-        if dim == 1:
-            return range(self.n0, self.n0 + self.n1)
-        if dim == 2:
-            return range(self.n0 + self.n1, self.num_cells)
-        raise ValueError(f"no cells of dimension {dim}")
+        if dim not in (0, 1, 2):
+            raise ValueError(f"no cells of dimension {dim}")
+        bounds = (0, self.n0, self.n0 + self.n1, self.num_cells)
+        return range(bounds[dim], bounds[dim + 1])
 
-    def one_cell_id(self, edge_index: int) -> int:
-        return self.n0 + edge_index
+    def dim(self, cell_id: int) -> int:
+        n01 = self.n0 + self.n1
+        if not 0 <= cell_id < n01 + self.n2:
+            raise ValueError(f"no cell {cell_id}")
+        return 0 if cell_id < self.n0 else 1 if cell_id < n01 else 2
+
+    def boundary(self, cell_id: int) -> tuple[int, ...]:
+        """A 1-cell's endpoints (one for a self-loop), a 2-cell's 1-cells in
+        walk order, the non-tree edge last (see :meth:`cycle_vertices`)."""
+        i = cell_id - self.n0
+        if 0 <= i < self.n1:
+            src, dst = self.edge_src.item(i), self.edge_dst.item(i)
+            return (src,) if src == dst else (src, dst)
+        if self.dim(cell_id) == 0:
+            return ()
+        start, stop = self.two_ptr.item(i - self.n1), self.two_ptr.item(i - self.n1 + 1)
+        return tuple(self.two_edges[start:stop].tolist())
+
+    def neighbors(self, vertex: int) -> list[tuple[int, int]]:
+        """``(1-cell id, other endpoint)`` per non-loop 1-cell, ascending."""
+        start, stop = self.adj_ptr.item(vertex), self.adj_ptr.item(vertex + 1)
+        return list(zip(self.adj_edge[start:stop].tolist(),
+                        self.adj_other[start:stop].tolist()))
+
+    @cached_property
+    def cells(self) -> tuple[CellView, ...]:
+        """Read-only ``(id, dim, boundary)`` records, for perfbench."""
+        return tuple(CellView(c, self.dim(c), self.boundary(c)) for c in range(self.num_cells))
 
     def edge_index(self, cell_id: int) -> int:
         if not self.n0 <= cell_id < self.n0 + self.n1:
@@ -118,24 +133,34 @@ class CellComplex:
         """A 2-cell's cycle vertices in walk order: vertex i is joined to
         vertex i+1 (mod n) by boundary 1-cell i. The walk starts at the
         smaller endpoint of the last 1-cell, the non-tree edge."""
-        boundary = self.cells[cell_id].boundary
-        vertices = [min(self.cells[boundary[-1]].boundary)]
-        for ecid in boundary[:-1]:
-            a, b = self.cells[ecid].boundary
+        *path, last = self.boundary(cell_id)
+        vertices = [min(self.boundary(last))]
+        for ecid in path:
+            a, b = self.boundary(ecid)
             vertices.append(b if vertices[-1] == a else a)
         return vertices
 
 
-def _adjacency(graph: TextualGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _adjacency(graph: TextualGraph) -> list[list[tuple[int, int]]]:
     """Per-vertex (1-cell id, other endpoint) pairs in edge order,
-    self-loops left out. Each 1-cell id is one int object, which both
-    endpoints, the forest's parent edges and the 2-cell boundaries share."""
+    self-loops left out: the lift's forests grow over these lists."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.num_nodes)]
     for ecid, edge in enumerate(graph.edges, graph.num_nodes):
         if edge.src != edge.dst:
             adj[edge.src].append((ecid, edge.dst))
             adj[edge.dst].append((ecid, edge.src))
-    return tuple(map(tuple, adj))
+    return adj
+
+
+def _arrays(graph: TextualGraph, adj) -> dict[str, np.ndarray]:
+    """The :class:`CellComplex` arrays ``edge_src``, ``edge_dst`` and the
+    adjacency CSR ``adj_ptr``, ``adj_edge``, ``adj_other`` of ``adj``."""
+    return dict(
+        edge_src=np.array([e.src for e in graph.edges], dtype=np.int32),
+        edge_dst=np.array([e.dst for e in graph.edges], dtype=np.int32),
+        adj_ptr=np.cumsum([0] + [len(pairs) for pairs in adj], dtype=np.int64),
+        adj_edge=np.array([e for pairs in adj for e, _ in pairs], dtype=np.int32),
+        adj_other=np.array([w for pairs in adj for _, w in pairs], dtype=np.int32))
 
 
 def grow_forest(roots, neighbors, depth_first: bool = False):
@@ -251,34 +276,30 @@ def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
         raise DimensionMismatch(f"mixed embedding shapes: {sorted(dims)}")
 
     n0, n1 = graph.num_nodes, graph.num_edges
-    adjacency = _adjacency(graph)
-    forest = _rooted_forest(graph, adjacency, policy)
+    adj = _adjacency(graph)
+    forest = _rooted_forest(graph, adj, policy)
     tree = frozenset(ecid - n0 for ecid in forest[1].values())
-    # every non-loop edge outside the forest (which holds no loop) is a 2-cell
-    n2 = sum(edge.src != edge.dst for edge in graph.edges) - len(tree)
+    n2 = sum(map(len, adj)) // 2 - len(tree)  # the non-loop edges off the forest
     z = np.empty((n0 + n1 + n2, dims.pop()[0] if dims else 0), dtype=np.float32)
     z[:n0 + n1] = np.array([*node_vecs, *edge_vecs],
                            dtype=np.float32).reshape(n0 + n1, z.shape[1])
-    cells = [Cell(id=v, dim=0) for v in range(n0)]
-    two_cells = []
+    two_ptr, two_edges = [0], array("i")  # int32 entries, grown in place
     for idx, edge in enumerate(graph.edges):
-        boundary = (edge.src,) if edge.src == edge.dst else (edge.src, edge.dst)
-        cells.append(Cell(id=n0 + idx, dim=1, boundary=boundary))
-        if len(boundary) == 1:
+        if edge.src == edge.dst:
             logger.warning("self-loop edge %d excluded from 2-cell attachment", idx)
-            continue
-        if idx in tree:
-            continue
-        cid = n0 + n1 + len(two_cells)
-        vertices, cycle = _fundamental_cycle(forest, n0 + idx, edge)
-        two_cells.append(Cell(id=cid, dim=2, boundary=tuple(cycle)))
-        z[cid] = z[vertices[:-1] + cycle].astype(np.float64).mean(axis=0)
+        elif idx not in tree:
+            vertices, cycle = _fundamental_cycle(forest, n0 + idx, edge)
+            rows = np.array(vertices[:-1] + cycle)  # its 0- and 1-cells
+            z[n0 + n1 + len(two_ptr) - 1] = z[rows].astype(np.float64).mean(axis=0)
+            two_edges.frombytes(rows[len(cycle):].astype(np.int32).tobytes())
+            two_ptr.append(len(two_edges))
 
     return CellComplex(
         graph=graph,
-        cells=(*cells, *two_cells),
         n0=n0, n1=n1, n2=n2,
-        adjacency=adjacency,
+        two_ptr=np.array(two_ptr, dtype=np.int64),
+        two_edges=np.frombuffer(two_edges, dtype=np.int32),
+        **_arrays(graph, adj),
         components=tuple(tuple(sorted(c)) for c in forest[3]),
         tree_edges=tree,
         policy=policy,
@@ -330,7 +351,7 @@ def verify_cycle_basis(complex: CellComplex) -> CycleBasisReport:
     rows = []
     for cid in complex.cell_ids(2):
         row = 0
-        for ecid in complex.cells[cid].boundary:
+        for ecid in complex.boundary(cid):
             row ^= 1 << complex.edge_index(ecid)
         rows.append(row)
     rank = gf2_rank(rows)

@@ -307,8 +307,8 @@ class _Incidence:
         complex = sub.complex
         self.cell_ids = sub.all_cells()
         index = {cid: i for i, cid in enumerate(self.cell_ids)}
-        self.dims = np.array([complex.cells[c].dim for c in self.cell_ids])
-        faces = [[index[b] for b in complex.cells[cid].boundary if b in index]
+        self.dims = np.array([complex.dim(c) for c in self.cell_ids])
+        faces = [[index[b] for b in complex.boundary(cid) if b in index]
                  for cid in self.cell_ids]
         face = [(x, y) for x, ys in enumerate(faces) for y in ys]
         coface = sorted((y, x) for x, y in face)

@@ -111,7 +111,9 @@ def assign_prizes(ranked0: list[tuple[int, float]],
     prizes minus ``|boundary edges| * C2``.
 
     A fundamental cycle is simple, so each 1-cell carries its own prize
-    plus half of each ranked endpoint's; integer prizes sum exactly.
+    plus half of each ranked endpoint's, and a 2-cell sums its boundary
+    segment of these shares. Every share is a multiple of 1/2, so the
+    sums are exact in any order.
     """
     if indexing not in PRIZE_INDEXING:
         raise ValueError(f"indexing must be one of {PRIZE_INDEXING}")
@@ -128,12 +130,14 @@ def assign_prizes(ranked0: list[tuple[int, float]],
                                   prize=value))
     share = {r.cell_id: r.prize for r in ranked_cells1}
     for r in ranked_cells0:
-        for ecid, _ in complex.adjacency[r.cell_id]:
+        for ecid, _ in complex.neighbors(r.cell_id):
             share[ecid] = share.get(ecid, 0.0) + r.prize / 2
-    for cid in complex.cell_ids(2):
-        boundary = complex.cells[cid].boundary
-        prize[cid] = (sum(share.get(e, 0.0) for e in boundary)
-                      - len(boundary) * c2)
+    shares = np.zeros(complex.num_cells)
+    shares[list(share)] = list(share.values())
+    ptr = complex.two_ptr
+    two = (np.add.reduceat(shares[complex.two_edges], ptr[:-1])
+           - (ptr[1:] - ptr[:-1]) * c2)
+    prize.update(zip(complex.cell_ids(2), two.tolist()))
     return PrizeAssignment(
         prize=prize, c2=c2, c_edge=c_edge, ranked0=tuple(ranked_cells0),
         ranked1=tuple(ranked_cells1),
@@ -158,15 +162,10 @@ def enforce_boundary_consistency(complex: CellComplex,
     Every selected 2-cell pulls in its boundary 1-cells; every selected
     1-cell, its endpoints, and so the cycle vertices of those 2-cells.
     """
-    closed = set(cells)
-    for cid in list(closed):
-        cell = complex.cells[cid]
-        if cell.dim == 2:
-            closed.update(cell.boundary)
-    for cid in list(closed):
-        cell = complex.cells[cid]
-        if cell.dim == 1:
-            closed.update(cell.boundary)
+    closed, n0, n01 = set(cells), complex.n0, complex.n0 + complex.n1
+    for low, high in ((n01, complex.num_cells), (n0, n01)):  # 2-cells, then 1-cells
+        for cid in [c for c in closed if low <= c < high]:
+            closed.update(complex.boundary(cid))
     return frozenset(closed)
 
 
@@ -175,13 +174,10 @@ def selection_objective(complex: CellComplex, assignment: PrizeAssignment,
     """(total prize, total cost) of a selection under the assignment."""
     total_prize = sum(assignment.prize_of(c) for c in cells)
     ranked1 = assignment.ranked1_ids
-    connective = sum(
-        1 for c in cells
-        if complex.cells[c].dim == 1 and c not in ranked1
-    )
+    n0, n01 = complex.n0, complex.n0 + complex.n1
+    connective = sum(n0 <= c < n01 and c not in ranked1 for c in cells)
     cost = assignment.c_edge * connective
-    cost += sum(len(complex.cells[c].boundary) * assignment.c2 for c in cells
-                if complex.cells[c].dim == 2)
+    cost += sum(len(complex.boundary(c)) * assignment.c2 for c in cells if c >= n01)
     return total_prize, cost
 
 
@@ -189,9 +185,9 @@ def _selection_certificate(complex: CellComplex,
                            cells: frozenset[int]) -> tuple[int, ...]:
     """Spanning 1-cells of the selection's 1-skeleton: the parent edges
     of the BFS trees grown from its sorted vertices, in visiting order."""
-    roots = sorted(c for c in cells if complex.cells[c].dim == 0)
+    roots = sorted(c for c in cells if c < complex.n0)
     forest = grow_forest(roots, lambda v: [
-        (ecid, w) for ecid, w in complex.adjacency[v] if ecid in cells])
+        (ecid, w) for ecid, w in complex.neighbors(v) if ecid in cells])
     return tuple(forest[1].values())
 
 
@@ -200,7 +196,7 @@ def is_feasible(complex: CellComplex, cells: frozenset[int]) -> bool:
     spanning forest is one tree, with one edge fewer than its vertices."""
     if enforce_boundary_consistency(complex, cells) != cells:
         return False
-    n_vertices = sum(1 for c in cells if complex.cells[c].dim == 0)
+    n_vertices = sum(1 for c in cells if c < complex.n0)
     return n_vertices > 0 and \
         len(_selection_certificate(complex, cells)) == n_vertices - 1
 
@@ -213,7 +209,7 @@ def _provenance(complex: CellComplex, assignment: PrizeAssignment,
         ranked = by_id.get(cid)
         entries.append({
             "cell": cid,
-            "dim": complex.cells[cid].dim,
+            "dim": complex.dim(cid),
             "rank": ranked.rank if ranked else None,
             "similarity": ranked.similarity if ranked else None,
             "prize": assignment.prize_of(cid),
@@ -226,11 +222,12 @@ def _make_subcomplex(complex: CellComplex, assignment: PrizeAssignment,
                      degenerate: bool = False) -> Subcomplex:
     all_cells = frozenset().union(*component_selections) if component_selections else frozenset()
     prize, cost = selection_objective(complex, assignment, all_cells)
+    ordered, n0, n01 = sorted(all_cells), complex.n0, complex.n0 + complex.n1
     return Subcomplex(
         complex=complex,
-        cells0=tuple(sorted(c for c in all_cells if complex.cells[c].dim == 0)),
-        cells1=tuple(sorted(c for c in all_cells if complex.cells[c].dim == 1)),
-        cells2=tuple(sorted(c for c in all_cells if complex.cells[c].dim == 2)),
+        cells0=tuple(c for c in ordered if c < n0),
+        cells1=tuple(c for c in ordered if n0 <= c < n01),
+        cells2=tuple(c for c in ordered if c >= n01),
         total_prize=prize,
         total_cost=cost,
         certificate=tuple(_selection_certificate(complex, sel)
@@ -402,15 +399,13 @@ def _connector_path(complex: CellComplex, selected: frozenset[int],
     ``c_edge``. Returns the cells to add (vertices and edges), or None
     if unreachable.
     """
-    sources = {c for c in selected if complex.cells[c].dim == 0}
+    sources = {c for c in selected if c < complex.n0}
     if not sources:
         return None
     ranked1 = assignment.ranked1_ids
 
     def weight(ecid: int) -> float:
-        if ecid in selected or ecid in ranked1:
-            return 0.0
-        return assignment.c_edge
+        return 0.0 if ecid in selected or ecid in ranked1 else assignment.c_edge
 
     dist: dict[int, tuple[float, int]] = {}
     prev: dict[int, tuple[int, int]] = {}
@@ -422,7 +417,7 @@ def _connector_path(complex: CellComplex, selected: frozenset[int],
         d, hops, v = heapq.heappop(heap)
         if (d, hops) > dist[v]:
             continue
-        for ecid, w in complex.adjacency[v]:
+        for ecid, w in complex.neighbors(v):
             nd, nh = d + weight(ecid), hops + 1
             cur = dist.get(w)
             if cur is None or (nd, nh) < cur:
@@ -452,35 +447,29 @@ def _solve_component(complex: CellComplex, assignment: PrizeAssignment,
     node_prize = {v: assignment.prize_of(v) for v in component_vertices}
     edges = []
     for cid in sorted({ecid for v in component_vertices
-                       for ecid, _ in complex.adjacency[v]}):
-        u, v = complex.cells[cid].boundary
-        # ranked edge prizes are folded into endpoint half-prizes
-        if cid in ranked1:
+                       for ecid, _ in complex.neighbors(v)}):
+        u, v = complex.boundary(cid)
+        ranked = cid in ranked1
+        if ranked:  # ranked edge prizes are folded into endpoint half-prizes
             half = assignment.prize_of(cid) / 2.0
             node_prize[u] += half
             node_prize[v] += half
-            edges.append((cid, u, v, 0.0))
-        else:
-            edges.append((cid, u, v, assignment.c_edge))
+        edges.append((cid, u, v, 0.0 if ranked else assignment.c_edge))
 
     gw_vertices, gw_edges = _gw_pcst(component_vertices, edges, node_prize)
     base = set(gw_vertices) | set(gw_edges)
     # ranked 1-cells with both endpoints already selected are free prize
     for cid in sorted(ranked1):
-        cell = complex.cells[cid]
-        if all(v in base for v in cell.boundary):
+        if all(v in base for v in complex.boundary(cid)):
             base.add(cid)
     candidates = [enforce_boundary_consistency(complex, base)]
     # trivial feasible answers: best single ranked 0-cell, each ranked
     # 1-cell's closure
-    for r in assignment.ranked0:
-        if r.cell_id in vset and r.prize > 0:
-            candidates.append(frozenset([r.cell_id]))
-    for r in assignment.ranked1:
-        cell = complex.cells[r.cell_id]
-        if cell.boundary[0] in vset and r.prize > 0:
-            candidates.append(
-                enforce_boundary_consistency(complex, {r.cell_id}))
+    candidates += [frozenset([r.cell_id]) for r in assignment.ranked0
+                   if r.cell_id in vset and r.prize > 0]
+    candidates += [enforce_boundary_consistency(complex, {r.cell_id})
+                   for r in assignment.ranked1
+                   if complex.boundary(r.cell_id)[0] in vset and r.prize > 0]
 
     def objective_of(sel: frozenset[int]) -> float:
         prize, cost = selection_objective(complex, assignment, sel)
@@ -496,7 +485,7 @@ def _solve_component(complex: CellComplex, assignment: PrizeAssignment,
         if not cycle <= vset:
             return None
         addition = {cid}
-        if not cycle & {c for c in selection if complex.cells[c].dim == 0}:
+        if not cycle & {c for c in selection if c < complex.n0}:
             connector = _connector_path(complex, selection, assignment, cycle)
             if connector is None:
                 return None
@@ -534,15 +523,10 @@ def solve_subcomplex(complex: CellComplex, assignment: PrizeAssignment,
     degenerate single-cell subcomplex, or :class:`EmptyCandidates` is
     raised when none is supplied.
     """
-    seeds = set()
-    for r in assignment.ranked0:
-        if r.prize > 0:
-            seeds.add(r.cell_id)
-    for r in assignment.ranked1:
-        if r.prize > 0:
-            seeds.add(complex.cells[r.cell_id].boundary[0])
-    for cid in selected2:
-        seeds.add(complex.cycle_vertices(cid)[0])
+    seeds = {r.cell_id for r in assignment.ranked0 if r.prize > 0}
+    seeds.update(complex.boundary(r.cell_id)[0]
+                 for r in assignment.ranked1 if r.prize > 0)
+    seeds.update(complex.cycle_vertices(cid)[0] for cid in selected2)
 
     if not seeds:
         if fallback is None:

@@ -1,8 +1,8 @@
 """Naive per-cell, per-neighbor reference for the message-passing engine.
 
 Kept independent of the package implementation: plain dict states and
-explicit Python loops straight over the complex's incidence fields,
-with cofaces found here by transposing the boundaries, and upper
+explicit Python loops straight over the complex's ``boundary`` and
+``dim``, with cofaces found here by transposing the boundaries, and upper
 adjacency defined from the boundaries and those cofaces.
 Also the sequential weight initializer the chunked, threaded one must
 reproduce bit for bit, the serial twin of the pooled block products,
@@ -88,7 +88,8 @@ def _agg(messages, dim, config):
 def cofaces(complex, cell_id):
     """Cells whose boundary holds ``cell_id``, in ascending id: the
     transpose of the boundaries, a self-loop once at its vertex."""
-    return [cell.id for cell in complex.cells if cell_id in cell.boundary]
+    return [c for c in range(complex.num_cells)
+            if cell_id in complex.boundary(c)]
 
 
 def upper_adjacent(complex, cell_id):
@@ -97,7 +98,7 @@ def upper_adjacent(complex, cell_id):
     coface then neighbor."""
     pairs = []
     for cof in cofaces(complex, cell_id):
-        for w in complex.cells[cof].boundary:
+        for w in complex.boundary(cof):
             if w != cell_id:
                 pairs.append((w, cof))
     pairs.sort(key=lambda p: (p[1], p[0]))
@@ -118,13 +119,12 @@ def naive_forward(sub, weights, config):
         prefix = f"layer{layer}"
         new = {}
         for cid in sorted(selected):
-            cell = complex.cells[cid]
-            if cell.dim == 2:
+            if complex.dim(cid) == 2:
                 new[cid] = h[cid]
                 continue
-            faces = [b for b in cell.boundary if b in selected]
+            faces = [b for b in complex.boundary(cid) if b in selected]
             above = [c for c in cofaces(complex, cid)
-                     if c in selected and complex.cells[c].dim == 1]
+                     if c in selected and complex.dim(c) == 1]
             mf = _agg([_affine(weights, f"{prefix}.face", [h[cid], h[y]], kind)
                        for y in faces], d, config)
             mc = _agg([_affine(weights, f"{prefix}.coface", [h[cid], h[z]], kind)
@@ -135,8 +135,7 @@ def naive_forward(sub, weights, config):
 
     final = {}
     for cid in sorted(selected):
-        cell = complex.cells[cid]
-        faces = [b for b in cell.boundary if b in selected]
+        faces = [b for b in complex.boundary(cid) if b in selected]
         above = [c for c in cofaces(complex, cid) if c in selected]
         uppers = [(w, cof) for w, cof in upper_adjacent(complex, cid)
                   if w in selected and cof in selected]

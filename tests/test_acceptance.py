@@ -151,16 +151,15 @@ def test_c04_prize_formula_exactness_and_monotonicity():
         direct.update({cid: float(k - r - offset)
                        for r, (cid, _) in enumerate(ranked1)})
         for cid in cx.cell_ids(2):
-            cell = cx.cells[cid]
             # the cycle's vertices as the reference lift finds them
             vertices, _ = ref.fundamental_cycle(
-                g, cx.edge_index(cell.boundary[-1]), cx.tree_edges)
+                g, cx.edge_index(cx.boundary(cid)[-1]), cx.tree_edges)
             boundary_prize = 0.0
             for v in vertices[:-1]:
                 boundary_prize += direct.get(v, 0.0)
-            for e in cell.boundary:
+            for e in cx.boundary(cid):
                 boundary_prize += direct.get(e, 0.0)
-            expected = boundary_prize - len(cell.boundary) * c2
+            expected = boundary_prize - len(cx.boundary(cid)) * c2
             assert a.prize_of(cid) == expected  # exact
             assert higher.prize_of(cid) <= a.prize_of(cid)  # exact monotone
             tuples_checked += 1

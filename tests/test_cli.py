@@ -519,16 +519,16 @@ def test_bad_manifest_is_validation_error(tmp_path, capsys, small_cfg,
 
 # Every file toporag reads or writes, and each way its path can be unusable:
 # missing (for an output: under a missing directory; `questions.jsonl`: a
-# missing fixture directory, since a directory without it is an empty
-# fixture), a directory, text that is not UTF-8, a NUL byte in a config path.
+# missing fixture directory, or absent from an existing one), a directory,
+# text that is not UTF-8, a NUL byte in a config path.
 FILE_CASES = [
     ("config", "missing"), ("config", "directory"), ("config", "not-utf8"),
     ("graph-json", "missing"), ("graph-json", "directory"),
     ("graph-json", "not-utf8"),
     ("csv-member", "missing"), ("csv-member", "directory"),
     ("csv-member", "not-utf8"),
-    ("questions", "missing"), ("questions", "directory"),
-    ("questions", "not-utf8"),
+    ("questions", "missing"), ("questions", "absent"),
+    ("questions", "directory"), ("questions", "not-utf8"),
     ("manifest", "missing"), ("manifest", "directory"),
     ("manifest", "not-utf8"),
     ("weights", "missing"), ("weights", "directory"), ("weights", "nul"),

@@ -28,7 +28,7 @@ def scene_loop_subcomplex():
 def path_subcomplex():
     cx = lift(make_graph(2, [(0, 1)], node_texts=["alpha", "beta"],
                          edge_texts=["links"]))
-    a = assign_prizes([(0, .9), (1, .8)], [(cx.one_cell_id(0), .9)], cx, 2, 0.5)
+    a = assign_prizes([(0, .9), (1, .8)], [(cx.n0, .9)], cx, 2, 0.5)
     return solve_subcomplex(cx, a, [], fallback=(0, .9))
 
 
@@ -72,7 +72,7 @@ def test_textualize_uses_original_ids(tmp_path):
     path.write_text(json.dumps(payload), encoding="utf-8")
     g = load_graph(path)
     cx = lift(g)
-    a = assign_prizes([(0, .9), (1, .8)], [(cx.one_cell_id(0), .9)], cx, 2, 0.5)
+    a = assign_prizes([(0, .9), (1, .8)], [(cx.n0, .9)], cx, 2, 0.5)
     sub = solve_subcomplex(cx, a, [], fallback=(0, .9))
     tx = textualize(sub)
     assert tx.node_lines == ("10,a", "20,b")

@@ -170,7 +170,9 @@ def test_load_qa_fixture_profile():
 
 
 def test_load_qa_fixture_empty_dir(tmp_path):
-    assert load_qa_fixture(tmp_path) == []
+    with pytest.raises(IoError, match=re.escape(
+            f"cannot read {tmp_path / 'questions.jsonl'}")):
+        load_qa_fixture(tmp_path)
 
 
 def test_load_qa_fixture_missing_graph(tmp_path):

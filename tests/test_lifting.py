@@ -29,7 +29,7 @@ def cycles_of(cx):
     for cid in cx.cell_ids(2):
         walk = cx.cycle_vertices(cid)
         cycles.append((walk + walk[:1],
-                       [cx.edge_index(e) for e in cx.cells[cid].boundary]))
+                       [cx.edge_index(e) for e in cx.boundary(cid)]))
     return cycles
 
 
@@ -70,32 +70,32 @@ def non_loop_cofaces(cx, v):
     """(1-cell, other endpoint) for each non-loop coface of vertex ``v``,
     from the reference transpose of the boundaries."""
     return [(c, w) for c in cofaces(cx, v)
-            for w in cx.cells[c].boundary if w != v]
+            for w in cx.boundary(c) if w != v]
 
 
 def test_triangle_coboundary_incidence():
     cx = lift(triangle())
     for v in range(3):
-        assert len(cx.adjacency[v]) == 2
-        assert all(cx.cells[c].dim == 1 for c, _ in cx.adjacency[v])
-        assert list(cx.adjacency[v]) == non_loop_cofaces(cx, v)
+        assert len(cx.neighbors(v)) == 2
+        assert all(cx.dim(c) == 1 for c, _ in cx.neighbors(v))
+        assert list(cx.neighbors(v)) == non_loop_cofaces(cx, v)
 
 
 def test_coboundary_is_transpose_of_boundary():
     rng = random.Random(0)
     for g in (random_connected_graph(rng, 50, 120), messy_graph(rng)):
         cx = lift(g)
-        assert len(cx.adjacency) == cx.n0
+        assert len(cx.adj_ptr) == cx.n0 + 1
         for v in cx.cell_ids(0):
-            assert list(cx.adjacency[v]) == non_loop_cofaces(cx, v)
+            assert list(cx.neighbors(v)) == non_loop_cofaces(cx, v)
         # oracle: check both directions over every (1-cell, endpoint) pair
-        for cell in cx.cells:
-            if cell.dim == 1 and len(cell.boundary) == 2:
-                for b in cell.boundary:
-                    assert cell.id in [c for c, _ in cx.adjacency[b]]
-        for v, pairs in enumerate(cx.adjacency):
-            for c, w in pairs:
-                assert v != w and set(cx.cells[c].boundary) == {v, w}
+        for e in cx.cell_ids(1):
+            if len(cx.boundary(e)) == 2:
+                for b in cx.boundary(e):
+                    assert e in [c for c, _ in cx.neighbors(b)]
+        for v in cx.cell_ids(0):
+            for c, w in cx.neighbors(v):
+                assert v != w and set(cx.boundary(c)) == {v, w}
 
 
 # --- spanning trees ---
@@ -207,8 +207,7 @@ def test_self_loop_rejected():
 def test_triangle_single_two_cell():
     cx = lift(triangle())
     assert cx.n2 == 1
-    cell = cx.cells[cx.cell_ids(2)[0]]
-    assert len(cell.boundary) == 3
+    assert len(cx.boundary(cx.cell_ids(2)[0])) == 3
 
 
 def test_k4_three_two_cells():
@@ -223,7 +222,7 @@ def test_scene_loop_two_cell_has_four_edges():
     g = load_graph(FIXTURES / "scene_loop")
     cx = lift(g)
     assert cx.n2 == 1
-    assert len(cx.cells[cx.cell_ids(2)[0]].boundary) == 4
+    assert len(cx.boundary(cx.cell_ids(2)[0])) == 4
 
 
 def test_parallel_edge_makes_two_gon():
@@ -231,7 +230,7 @@ def test_parallel_edge_makes_two_gon():
     cx = lift(g)
     assert cx.n2 == 1
     cid = cx.cell_ids(2)[0]
-    assert len(cx.cells[cid].boundary) == 2
+    assert len(cx.boundary(cid)) == 2
     assert cx.cycle_vertices(cid) == [0, 1]
     assert cycles_of(cx) == [ref.fundamental_cycle(g, 1, cx.tree_edges)]
 
@@ -243,8 +242,8 @@ def test_self_loop_skipped_with_warning(caplog):
     assert cx.n2 == 0
     assert any("self-loop" in r.message for r in caplog.records)
     # the self-loop 1-cell is flagged by its single-entry boundary
-    loop_cell = cx.cells[cx.one_cell_id(1)]
-    assert loop_cell.dim == 1 and loop_cell.boundary == (1,)
+    loop_cell = cx.n0 + 1
+    assert cx.dim(loop_cell) == 1 and cx.boundary(loop_cell) == (1,)
 
 
 def test_two_cell_walks_are_closed():
@@ -254,11 +253,11 @@ def test_two_cell_walks_are_closed():
         cx = lift(g)
         for cid in cx.cell_ids(2):
             walk = cx.cycle_vertices(cid)
-            boundary = cx.cells[cid].boundary
+            boundary = cx.boundary(cid)
             assert len(walk) == len(boundary)
             for i, (v, ecid) in enumerate(zip(walk, boundary)):
                 w = walk[(i + 1) % len(walk)]
-                endpoints = set(cx.cells[ecid].boundary)
+                endpoints = set(cx.boundary(ecid))
                 assert endpoints == {v, w} or (v == w and endpoints == {v})
             vertices, _ = ref.fundamental_cycle(
                 g, cx.edge_index(boundary[-1]), cx.tree_edges)
@@ -268,11 +267,11 @@ def test_two_cell_walks_are_closed():
 def test_upper_adjacency_via_shared_coface():
     cx = lift(triangle())
     two_cell = cx.cell_ids(2)[0]
-    for ecid in cx.cells[two_cell].boundary:
+    for ecid in cx.boundary(two_cell):
         partners = [w for w, cof in upper_adjacent(cx, ecid) if cof == two_cell]
         assert len(partners) == 2  # the other two edges of the triangle
     # 0-cells are upper-adjacent through their shared 1-cells
-    assert [(w, cx.cells[cof].dim) for w, cof in upper_adjacent(cx, 0)] == \
+    assert [(w, cx.dim(cof)) for w, cof in upper_adjacent(cx, 0)] == \
         [(1, 1), (2, 1)]
 
 
@@ -282,17 +281,17 @@ def test_every_nontree_nonloop_edge_in_exactly_one_two_cell():
     cx = lift(g)
     count = {}
     for cid in cx.cell_ids(2):
-        non_tree = cx.cells[cid].boundary[-1]
+        non_tree = cx.boundary(cid)[-1]
         count[non_tree] = count.get(non_tree, 0) + 1
-    non_tree_edges = [cx.one_cell_id(i) for i in range(g.num_edges)
+    non_tree_edges = [cx.n0 + i for i in range(g.num_edges)
                       if i not in cx.tree_edges]
     assert sorted(count) == sorted(non_tree_edges)
     assert all(v == 1 for v in count.values())
 
 
 def test_lift_stores_each_boundary_incidence_once():
-    """A 2-cell keeps only its boundary, whose 1-cell ids are the ints
-    the adjacency holds: no per-step walk, no coface lists."""
+    """A 2-cell keeps only its boundary, a segment of one int32 array:
+    no per-step walk, no coface lists, no per-cell objects."""
     g = random_connected_graph(random.Random(1), 500, 1500)
     provider = DeterministicProvider(dim=8, seed=7)
     node_vecs = embed_texts([n.text for n in g.nodes], provider)
@@ -303,11 +302,12 @@ def test_lift_stores_each_boundary_incidence_once():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    entries = sum(len(cx.cells[cid].boundary) for cid in cx.cell_ids(2))
+    entries = sum(len(cx.boundary(cid)) for cid in cx.cell_ids(2))
     assert entries == 146_657
-    # a boundary slot is 8 bytes; a stored (vertex, 1-cell) walk step or
-    # a coface list entry would add far more than the 24 left over
-    assert retained <= 32 * entries
+    # a boundary slot is 4 bytes; a tuple of 8-byte references per
+    # 2-cell, a stored walk step or a coface list entry would not fit
+    assert cx.two_edges.dtype == np.int32 and len(cx.two_edges) == entries
+    assert retained <= 8 * entries
 
 
 def messy_graph(rng):
@@ -340,8 +340,47 @@ def test_lift_rooting_matches_public_tree_and_cycles():
                         for idx, e in enumerate(g.edges)
                         if idx not in cx.tree_edges and e.src != e.dst]
             assert cycles_of(cx) == expected
-            assert [[cx.edge_index(e) for e in cx.cells[cid].boundary]
+            assert [[cx.edge_index(e) for e in cx.boundary(cid)]
                     for cid in cx.cell_ids(2)] == [e for _, e in expected]
+
+
+def test_accessors_match_reference_lift():
+    """dim, boundary, neighbors and cycle_vertices, read off the arrays,
+    against the graph and the reference lift: self-loops, parallel edges,
+    several components."""
+    rng = random.Random(31)
+    for trial in range(40):
+        g = messy_graph(rng)
+        for policy in (DFS, BFS, SpanningTreePolicy("random", seed=trial)):
+            cx = bare_lift(g, policy)
+            n0, n1 = g.num_nodes, g.num_edges
+            cycles = [ref.fundamental_cycle(g, idx, cx.tree_edges)
+                      for idx, e in enumerate(g.edges)
+                      if idx not in cx.tree_edges and e.src != e.dst]
+            assert [cx.dim(c) for c in range(cx.num_cells)] == \
+                [0] * n0 + [1] * n1 + [2] * len(cycles)
+            for bad in (-1, cx.num_cells):
+                with pytest.raises(ValueError):
+                    cx.dim(bad)
+            for not_two_cell in (0, n0 + n1 - 1, cx.num_cells):
+                with pytest.raises(ValueError):
+                    cx.cycle_vertices(not_two_cell)
+            adj = ref._neighbors(g)
+            for v in range(n0):
+                assert cx.boundary(v) == ()
+                assert cx.neighbors(v) == [(n0 + idx, w) for idx, w in adj[v]
+                                           if w != v]
+            for idx, e in enumerate(g.edges):
+                assert cx.boundary(n0 + idx) == \
+                    ((e.src,) if e.src == e.dst else (e.src, e.dst))
+            for cid, (vertices, edges) in zip(cx.cell_ids(2), cycles):
+                assert cx.boundary(cid) == tuple(n0 + i for i in edges)
+                assert cx.cycle_vertices(cid) == vertices[:-1]
+            for c in range(cx.num_cells):
+                assert all(type(b) is int for b in cx.boundary(c))
+            # the read-only view perfbench reads
+            assert cx.cells == tuple((c, cx.dim(c), cx.boundary(c))
+                                     for c in range(cx.num_cells))
 
 
 def test_grow_forest_matches_reference():
@@ -472,7 +511,7 @@ def test_rank_matches_numpy_oracle_across_policies():
             cx = lift(g, policy=policy)
             report = verify_cycle_basis(cx)
             rows = [
-                {cx.edge_index(e) for e in cx.cells[cid].boundary}
+                {cx.edge_index(e) for e in cx.boundary(cid)}
                 for cid in cx.cell_ids(2)
             ]
             assert report.rank_gf2 == numpy_gf2_rank(rows, g.num_edges)

@@ -110,8 +110,7 @@ def test_stage1_locality_on_path_graph():
     # node 0 is 5 incidence hops from node 3: unchanged, exactly
     assert np.array_equal(base.state(0), moved.state(0))
     # edge (0,1) is 4 hops away: unchanged
-    assert np.array_equal(base.state(cx.one_cell_id(0)),
-                          moved.state(cx.one_cell_id(0)))
+    assert np.array_equal(base.state(cx.n0), moved.state(cx.n0))
     # node 2 is 2 hops away: must move
     assert not np.array_equal(base.state(2), moved.state(2))
 
@@ -251,10 +250,10 @@ def selections_with_silent_cells():
     isolated vertex, every kind of single cell, and 0-cells none of whose
     cofaces is selected beside a 2-cell missing some of its edges."""
     isolated = lift(make_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3)]), dim=D)
-    assert not isolated.adjacency[4]
+    assert not isolated.neighbors(4)
     cx = lift(two_triangles(), dim=D, seed=3)
     two_cell = cx.cell_ids(2)[0]
-    edges = cx.cells[two_cell].boundary
+    edges = cx.boundary(two_cell)
     yield full_subcomplex(isolated)
     yield from (selection(cx, [cx.cell_ids(k)[0]]) for k in range(3))
     yield selection(cx, [*cx.cell_ids(0), edges[0], two_cell])
@@ -301,25 +300,34 @@ def permute_complex(cx: CellComplex, rng: random.Random) -> tuple[CellComplex, d
     for j in range(cx.n2):
         mapping[cx.n0 + cx.n1 + j] = cx.n0 + cx.n1 + p2[j]
 
-    new_cells = [None] * cx.num_cells
-    for cell in cx.cells:
-        nid = mapping[cell.id]
-        new_cells[nid] = dataclasses.replace(
-            cell,
-            id=nid,
-            boundary=tuple(mapping[b] for b in cell.boundary),
-        )
-    adjacency = [tuple()] * cx.n0
+    def csr(rows, dtype):
+        ptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+        return ptr, np.array([x for r in rows for x in r], dtype=dtype)
+
+    ends = [None] * cx.n1
+    for i in range(cx.n1):
+        ends[p1[i]] = [p0[v] for v in cx.boundary(cx.n0 + i)]
+    src = np.array([e[0] for e in ends], dtype=np.int32)
+    dst = np.array([e[-1] for e in ends], dtype=np.int32)
+    boundaries = [None] * cx.n2
+    for cid in cx.cell_ids(2):
+        boundaries[mapping[cid] - cx.n0 - cx.n1] = [
+            mapping[b] for b in cx.boundary(cid)]
+    two_ptr, two_edges = csr(boundaries, np.int32)
+    pairs = [None] * cx.n0
     for v in range(cx.n0):
-        adjacency[mapping[v]] = tuple((mapping[e], mapping[w])
-                                      for e, w in cx.adjacency[v])
+        pairs[mapping[v]] = [(mapping[e], mapping[w])
+                             for e, w in cx.neighbors(v)]
+    adj_ptr, adj = csr(pairs, np.int32)
+    adj = adj.reshape(-1, 2)
     z = np.empty_like(cx.embeddings)
     for cid in range(cx.num_cells):
         z[mapping[cid]] = cx.embeddings[cid]
     permuted = dataclasses.replace(
         cx,
-        cells=tuple(new_cells),
-        adjacency=tuple(adjacency),
+        edge_src=src, edge_dst=dst,
+        two_ptr=two_ptr, two_edges=two_edges,
+        adj_ptr=adj_ptr, adj_edge=adj[:, 0], adj_other=adj[:, 1],
         embeddings=z,
     )
     return permuted, mapping
@@ -655,7 +663,7 @@ def test_stage1_passes_no_two_cell_row_to_a_map(monkeypatch):
         cfg = config(layers=3, seed=trial)
         weights = ReasoningWeights.initialize(cfg)
         states = init_states(sub, state_dim=D)
-        dims = np.array([cx.cells[c].dim for c in states.cell_ids])
+        dims = np.array([cx.dim(c) for c in states.cell_ids])
         two_cells = states.states[dims == 2]
         with monkeypatch.context() as patch:
             calls = record_products(patch, weights)
@@ -681,15 +689,15 @@ def landing_cells(sub):
     """{message: sorted cells at least one message lands on}, read off
     the complex: stage 1's face and coface, then stage 2's three."""
     cx, selected = sub.complex, set(sub.all_cells())
-    low = {c for c in selected if cx.cells[c].dim <= 1}
+    low = {c for c in selected if cx.dim(c) <= 1}
     faces = {c for c in selected
-             if any(b in selected for b in cx.cells[c].boundary)}
+             if any(b in selected for b in cx.boundary(c))}
     above = {c for c in selected
              if any(z in selected for z in cofaces(cx, c))}
     return {
         "face": sorted(faces & low),
         "coface": sorted(c for c in low if any(
-            z in selected and cx.cells[z].dim == 1
+            z in selected and cx.dim(z) == 1
             for z in cofaces(cx, c))),
         "final.face": sorted(faces),
         "final.coface": sorted(above),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from toporag.embedding import DeterministicProvider, cosine, embed_texts
 from toporag.errors import EmptyCandidates, TooLarge
+from toporag.lifting import BFS, DFS, SpanningTreePolicy, lift_graph
 from toporag.retrieval import (assign_prizes, enforce_boundary_consistency,
                                is_feasible, retrieve_subcomplex,
                                selection_objective, solve_subcomplex,
@@ -17,6 +18,7 @@ from helpers import (lift, make_graph, random_connected_graph, triangle,
                      two_triangles)
 from reference_lifting import components
 from reference_pcst import brute_force_subcomplex
+from reference_prizes import two_cell_prizes
 
 
 def ranked_of(cells_with_sims):
@@ -116,7 +118,7 @@ def test_eq14_prizes_start_at_k_minus_one():
 
 def test_two_cell_prize_direct_substitution():
     cx = lift(triangle())
-    edge_cell = cx.one_cell_id(0)
+    edge_cell = cx.n0
     a = assign_prizes(ranked_of([(0, .9), (1, .8)]),
                       ranked_of([(edge_cell, .95)]), cx, 3, 1.0)
     # boundary node prizes {3,2,0}, edge prizes {3,0,0}, cost 3*1
@@ -148,6 +150,31 @@ def test_prize_monotone_nonincreasing_in_c2():
         values.append([a.prize_of(c) for c in cx.cell_ids(2)])
     for prev, cur in zip(values, values[1:]):
         assert all(c <= p for p, c in zip(prev, cur))
+
+
+def test_two_cell_prizes_match_loop_reference():
+    """The segmented sum equals the per-cell loop exactly, as Python floats,
+    under every policy: long DFS cycles and short BFS ones."""
+    rng = random.Random(17)
+    vec_rng = np.random.default_rng(17)
+    for n, m in ((60, 180), (500, 1500)):
+        g = random_connected_graph(rng, n, m)
+        z0 = list(vec_rng.standard_normal((n, 16)).astype(np.float32))
+        z1 = list(vec_rng.standard_normal((m, 16)).astype(np.float32))
+        for policy in (DFS, BFS, SpanningTreePolicy("random", seed=n)):
+            cx = lift_graph(g, z0, z1, policy=policy)
+            for _ in range(3):
+                z_q = vec_rng.standard_normal(16).astype(np.float32)
+                for k in (3, 5):
+                    ranked0 = topk_cells(cx, z_q, 0, k)
+                    ranked1 = topk_cells(cx, z_q, 1, k)
+                    for c2 in (0.5, 0.3):
+                        a = assign_prizes(ranked0, ranked1, cx, k, c2)
+                        expected = {r.cell_id: r.prize
+                                    for r in a.ranked0 + a.ranked1}
+                        expected.update(two_cell_prizes(cx, a))
+                        assert a.prize == expected
+                        assert all(type(v) is float for v in a.prize.values())
 
 
 # --- top-k 2-cells ---
@@ -191,7 +218,7 @@ def test_closure_idempotent():
 
 def test_closure_of_one_cell_adds_endpoints():
     cx = lift(triangle())
-    e = cx.one_cell_id(0)
+    e = cx.n0
     assert enforce_boundary_consistency(cx, {e}) == {0, 1, e}
 
 
@@ -215,14 +242,14 @@ def test_is_feasible_agrees_with_components_of_selection():
         size = rng.randrange(0, min(6, cx.num_cells) + 1)
         cells = enforce_boundary_consistency(
             cx, set(rng.sample(range(cx.num_cells), size)))
-        vertices = sorted(c for c in cells if cx.cells[c].dim == 0)
+        vertices = sorted(c for c in cells if cx.dim(c) == 0)
         relabel = {v: i for i, v in enumerate(vertices)}
         sub_edges = []
         for c in sorted(cells):
-            cell = cx.cells[c]
-            if cell.dim == 1:
-                loop = len(cell.boundary) == 1
-                u, v = cell.boundary * 2 if loop else cell.boundary
+            if cx.dim(c) == 1:
+                boundary = cx.boundary(c)
+                loop = len(boundary) == 1
+                u, v = boundary * 2 if loop else boundary
                 sub_edges.append((relabel[u], relabel[v]))
         sub_graph = make_graph(len(vertices), sub_edges)
         expected = len(components(sub_graph)) == 1
@@ -249,7 +276,7 @@ def test_bruteforce_single_node():
 
 def test_bruteforce_prefers_path_over_two_cell():
     cx = lift(triangle())
-    e = cx.one_cell_id(0)  # edge (0,1)
+    e = cx.n0  # edge (0,1)
     a = make_assignment(cx, [(0, .9), (1, .8)], [(e, .95)], k=3, c2=5.0)
     best = brute_force_subcomplex(cx, a)
     assert best.cells2 == ()
@@ -371,7 +398,7 @@ def test_solver_connects_two_cell_through_connector():
     # triangle {2,3,4} holds the 2-cell; the prized node 0 hangs off it
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)])
     cx = lift(g)
-    e34 = cx.one_cell_id(4)
+    e34 = cx.n0 + 4
     a = make_assignment(cx, [(0, .99), (3, .9), (4, .85)], [(e34, .9)],
                         k=3, c2=0.1, c_edge=0.25)
     selected2 = topk_two_cells(a, cx, 1)
@@ -395,8 +422,7 @@ def test_closure_properties(data):
     assert selection <= closed
     assert enforce_boundary_consistency(cx, closed) == closed
     for cid in closed:
-        cell = cx.cells[cid]
-        assert all(b in closed for b in cell.boundary)
+        assert all(b in closed for b in cx.boundary(cid))
 
 
 @settings(max_examples=25, deadline=None)
@@ -428,7 +454,7 @@ def test_solver_deterministic():
     g = random_connected_graph(rng, 10, 20)
     cx = lift(g)
     a = make_assignment(cx, [(0, .9), (3, .8), (5, .7)],
-                        [(cx.one_cell_id(2), .85)], k=3, c2=0.25)
+                        [(cx.n0 + 2, .85)], k=3, c2=0.25)
     selected2 = topk_two_cells(a, cx, 2)
     s1 = solve_subcomplex(cx, a, selected2, fallback=(0, .9))
     s2 = solve_subcomplex(cx, a, selected2, fallback=(0, .9))
@@ -448,10 +474,10 @@ def test_selected_one_cells_have_endpoints_selected():
     g = random_connected_graph(rng, 8, 18)
     cx = lift(g)
     a = make_assignment(cx, [(0, .9), (4, .8)],
-                        [(cx.one_cell_id(0), .9), (cx.one_cell_id(5), .7)])
+                        [(cx.n0, .9), (cx.n0 + 5, .7)])
     sub = solve_subcomplex(cx, a, topk_two_cells(a, cx, 1), fallback=(0, .9))
     for ecid in sub.cells1:
-        for v in cx.cells[ecid].boundary:
+        for v in cx.boundary(ecid):
             assert v in sub.cells0
 
 
@@ -489,7 +515,7 @@ def test_retrieve_deterministic(provider):
 
 def test_objective_components_consistency():
     cx = lift(triangle())
-    a = make_assignment(cx, [(0, .9), (1, .8)], [(cx.one_cell_id(0), .9)],
+    a = make_assignment(cx, [(0, .9), (1, .8)], [(cx.n0, .9)],
                         c2=0.25)
     sub = solve_subcomplex(cx, a, topk_two_cells(a, cx, 1), fallback=(0, .9))
     prize, cost = selection_objective(cx, a, frozenset(sub.all_cells()))
