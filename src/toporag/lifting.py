@@ -12,8 +12,8 @@ cycles form a basis of the graph's cycle space, which
 Cell ids are dense and dimension-ordered: 0-cells are ``0..n0-1``
 (equal to node ids), 1-cells ``n0..n0+n1-1`` (in edge order), 2-cells
 after that (in non-tree-edge order). Row ``c`` of the complex's
-embedding matrix is cell ``c``'s vector, so the cells of one dimension
-are a row slice. The complex is arrays, built once (see :class:`CellComplex`).
+embedding matrix is 0- or 1-cell ``c``'s vector; a 2-cell's is computed
+when it is read. The complex is arrays, built once (see :class:`CellComplex`).
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class CellComplex:
     boundary, ``two_edges[two_ptr[j]:two_ptr[j + 1]]``, and vertex ``v``'s
     non-loop 1-cells and their other ends, ``adj_edge``/``adj_other`` over
     ``adj_ptr[v]:adj_ptr[v + 1]``. ``components`` holds each component's
-    sorted vertices; row ``c`` of the float32 ``embeddings`` is cell ``c``'s
-    vector, and ``fingerprint`` names the embedding provider."""
+    sorted vertices; row ``c`` of the float32 ``embeddings`` is 0- or 1-cell
+    ``c``'s vector (see :meth:`vector`); ``fingerprint`` names the provider."""
 
     graph: TextualGraph
     n0: int
@@ -112,6 +112,8 @@ class CellComplex:
 
     def neighbors(self, vertex: int) -> list[tuple[int, int]]:
         """``(1-cell id, other endpoint)`` per non-loop 1-cell, ascending."""
+        if not 0 <= vertex < self.n0:
+            raise ValueError(f"no vertex {vertex}")
         start, stop = self.adj_ptr.item(vertex), self.adj_ptr.item(vertex + 1)
         return list(zip(self.adj_edge[start:stop].tolist(),
                         self.adj_other[start:stop].tolist()))
@@ -127,12 +129,19 @@ class CellComplex:
         return cell_id - self.n0
 
     def vector(self, cell_id: int) -> np.ndarray:
-        return self.embeddings[cell_id]
+        """A 0- or 1-cell's row; a 2-cell's is computed on each read: the
+        float64 mean of its cycle's vertex then edge rows in walk order."""
+        if 0 <= cell_id < self.n0 + self.n1:
+            return self.embeddings[cell_id]
+        rows = self.cycle_vertices(cell_id) + list(self.boundary(cell_id))
+        return self.embeddings[rows].astype(np.float64).mean(axis=0).astype(np.float32)
 
     def cycle_vertices(self, cell_id: int) -> list[int]:
         """A 2-cell's cycle vertices in walk order: vertex i is joined to
         vertex i+1 (mod n) by boundary 1-cell i. The walk starts at the
         smaller endpoint of the last 1-cell, the non-tree edge."""
+        if self.dim(cell_id) != 2:
+            raise ValueError(f"cell {cell_id} is not a 2-cell")
         *path, last = self.boundary(cell_id)
         vertices = [min(self.boundary(last))]
         for ecid in path:
@@ -230,27 +239,21 @@ def _rooted_forest(graph: TextualGraph, adj, policy: SpanningTreePolicy):
         (ecid, w) for ecid, w in adj[v] if ecid in tree])
 
 
-def _fundamental_cycle(forest, ecid: int,
-                       edge: Edge) -> tuple[list[int], list[int]]:
-    """Path in a rooted forest from the smaller endpoint of the non-tree
-    1-cell ``ecid`` to the other, closed by that 1-cell: (vertices,
-    1-cell ids). Both endpoints lie in one tree of the forest."""
+def _fundamental_cycle(forest, ecid: int, edge: Edge) -> list[int]:
+    """The 1-cell ids of the tree path in a rooted forest from the smaller
+    endpoint of the non-tree 1-cell ``ecid`` to the other, closed by that
+    1-cell. Both endpoints lie in one tree of the forest."""
     parent, parent_edge, depth = forest[:3]
-    start, goal = min(edge.src, edge.dst), max(edge.src, edge.dst)
-    up_a, edges_a = [start], []
-    up_b, edges_b = [goal], []
-    a, b = start, goal
+    a, b = min(edge.src, edge.dst), max(edge.src, edge.dst)
+    edges_a, edges_b = [], []
     while a != b:  # climb the deeper side; at equal depth, either
         if depth[a] >= depth[b]:
             edges_a.append(parent_edge[a])
             a = parent[a]
-            up_a.append(a)
         else:
             edges_b.append(parent_edge[b])
             b = parent[b]
-            up_b.append(b)
-    return (up_a + up_b[-2::-1] + [start],
-            edges_a + edges_b[::-1] + [ecid])
+    return edges_a + edges_b[::-1] + [ecid]
 
 
 def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
@@ -261,8 +264,8 @@ def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
 
     One 0-cell per node, one 1-cell per edge, and one 2-cell per
     non-tree, non-self-loop edge of the forest ``policy`` grows, glued
-    along its fundamental cycle. A 2-cell's embedding is the mean, taken
-    in float64, of its cycle's 0/1-cell embeddings. Self-loops are
+    along its fundamental cycle. Only the node and edge vectors are stored
+    (:meth:`CellComplex.vector` computes a 2-cell's). Self-loops are
     logged and skipped: a one-edge cycle cannot bound a regular disk.
     """
     if len(node_vecs) != graph.num_nodes:
@@ -279,24 +282,19 @@ def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
     adj = _adjacency(graph)
     forest = _rooted_forest(graph, adj, policy)
     tree = frozenset(ecid - n0 for ecid in forest[1].values())
-    n2 = sum(map(len, adj)) // 2 - len(tree)  # the non-loop edges off the forest
-    z = np.empty((n0 + n1 + n2, dims.pop()[0] if dims else 0), dtype=np.float32)
-    z[:n0 + n1] = np.array([*node_vecs, *edge_vecs],
-                           dtype=np.float32).reshape(n0 + n1, z.shape[1])
+    z = np.array([*node_vecs, *edge_vecs], dtype=np.float32).reshape(
+        n0 + n1, dims.pop()[0] if dims else 0)
     two_ptr, two_edges = [0], array("i")  # int32 entries, grown in place
     for idx, edge in enumerate(graph.edges):
         if edge.src == edge.dst:
             logger.warning("self-loop edge %d excluded from 2-cell attachment", idx)
         elif idx not in tree:
-            vertices, cycle = _fundamental_cycle(forest, n0 + idx, edge)
-            rows = np.array(vertices[:-1] + cycle)  # its 0- and 1-cells
-            z[n0 + n1 + len(two_ptr) - 1] = z[rows].astype(np.float64).mean(axis=0)
-            two_edges.frombytes(rows[len(cycle):].astype(np.int32).tobytes())
+            two_edges.extend(_fundamental_cycle(forest, n0 + idx, edge))
             two_ptr.append(len(two_edges))
 
     return CellComplex(
         graph=graph,
-        n0=n0, n1=n1, n2=n2,
+        n0=n0, n1=n1, n2=len(two_ptr) - 1,
         two_ptr=np.array(two_ptr, dtype=np.int64),
         two_edges=np.frombuffer(two_edges, dtype=np.int32),
         **_arrays(graph, adj),

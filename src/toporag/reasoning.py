@@ -276,21 +276,20 @@ class CellStates:
 
 
 def init_states(sub: Subcomplex, state_dim: int | None = None) -> CellStates:
-    """Layer-0 states: each cell's embedding from the parent complex."""
+    """Layer-0 states: each cell's ``CellComplex.vector``, in float64."""
     cell_ids = sub.all_cells()
     if not cell_ids:
         raise EmptySubcomplex("cannot initialize states for an empty subcomplex")
-    z = sub.complex.embeddings
-    dim = z.shape[1]
+    complex = sub.complex
+    rows, dim = complex.embeddings.shape
     if state_dim is not None and state_dim != dim:
         raise DimensionMismatch(
             f"embedding dim {dim} != configured state dim {state_dim}")
-    if not 0 <= cell_ids[0] <= cell_ids[-1] < len(z):  # cell_ids is sorted
+    if rows != complex.n0 + complex.n1:
         raise ValidationError(
-            f"no embedding stored for cells {cell_ids[0]}..{cell_ids[-1]}: "
-            f"the complex has {len(z)} embedding rows")
-    return CellStates(cell_ids=cell_ids,
-                      states=z[list(cell_ids)].astype(np.float64), layer=0)
+            f"{rows} embedding rows for n0 + n1 = {complex.n0 + complex.n1} cells")
+    states = np.array([complex.vector(c) for c in cell_ids], dtype=np.float64)
+    return CellStates(cell_ids=cell_ids, states=states, layer=0)
 
 
 class _Incidence:

@@ -112,7 +112,7 @@ def naive_forward(sub, weights, config):
     d = config.state_dim
     h = {}
     for cid in sorted(selected):
-        h[cid] = np.asarray(complex.embeddings[cid], dtype=np.float64)
+        h[cid] = np.asarray(complex.vector(cid), dtype=np.float64)
 
     kind = config.activation
     for layer in range(config.layers):

@@ -310,6 +310,41 @@ def test_lift_stores_each_boundary_incidence_once():
     assert retained <= 8 * entries
 
 
+def test_lift_stores_no_two_cell_rows():
+    """One embedding row per 0- and 1-cell: a stored row per 2-cell, n2 *
+    d * 4 bytes (1 MB here), would not fit in the bound."""
+    g = random_connected_graph(random.Random(1), 500, 1500)
+    d = 256
+    rng = np.random.default_rng(1)
+    node_vecs = list(rng.normal(size=(g.num_nodes, d)).astype(np.float32))
+    edge_vecs = list(rng.normal(size=(g.num_edges, d)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        cx = lift_graph(g, node_vecs, edge_vecs, policy=DFS)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n01 = cx.n0 + cx.n1
+    assert cx.embeddings.shape == (n01, d) and cx.n2 == 1001
+    assert retained <= n01 * d * 4 + 8 * len(cx.two_edges)
+
+
+# the accessors refuse each id below on the triangle (n0 = n1 = 3, n2 = 1):
+# -1, one past the end, and a cell of the wrong dimension
+BAD_IDS = {"dim": (-1, 7), "boundary": (-1, 7), "vector": (-1, 7),
+           "neighbors": (-1, 3, 6), "edge_index": (-1, 6, 0),
+           "cycle_vertices": (-1, 7, 0, 3)}
+
+
+@pytest.mark.parametrize("accessor, bad", [
+    (accessor, bad) for accessor, ids in BAD_IDS.items() for bad in ids])
+def test_accessors_refuse_bad_ids_naming_them(accessor, bad):
+    cx = bare_lift(triangle(), DFS)
+    assert (cx.n0, cx.n1, cx.n2) == (3, 3, 1)
+    with pytest.raises(ValueError, match=rf"(cell|vertex) {bad}\b"):
+        getattr(cx, accessor)(bad)
+
+
 def messy_graph(rng):
     """1-3 components with self-loops and parallel edges, isolated
     vertices, vertex ids shuffled across components."""
@@ -444,15 +479,17 @@ def test_embedding_rows_follow_cell_ids():
     for policy in (DFS, BFS, SpanningTreePolicy("random", seed=3)):
         cx = lift_graph(g, node_vecs, edge_vecs, policy=policy)
         z, n0, n1 = cx.embeddings, cx.n0, cx.n1
-        assert z.dtype == np.float32 and z.shape == (cx.num_cells, 16)
+        assert z.dtype == np.float32 and z.shape == (n0 + n1, 16)
         assert z.flags.c_contiguous
         assert np.array_equal(z[:n0], z0)
         assert np.array_equal(z[n0:n0 + n1], z1)
         assert cx.n2 == 3
-        for cid, cycle in zip(cx.cell_ids(2), cycles_of(cx)):
-            assert np.array_equal(z[cid], ref.cycle_embedding(cycle, z0, z1))
-        for cid in range(cx.num_cells):
+        for cid in range(n0 + n1):
             assert np.array_equal(cx.vector(cid), z[cid])
+        for cid, cycle in zip(cx.cell_ids(2), cycles_of(cx)):
+            out = cx.vector(cid)
+            assert out.dtype == np.float32
+            assert np.array_equal(out, ref.cycle_embedding(cycle, z0, z1))
 
 
 def test_two_cell_embeddings_equal_reference_mean_on_ladder():

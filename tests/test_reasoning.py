@@ -58,6 +58,25 @@ def test_init_states_equal_embeddings():
                            np.asarray(cx.vector(cid), dtype=np.float64))
 
 
+def test_init_states_read_vector_for_every_selected_cell():
+    """Retrieved subcomplexes with 2-cells in them, under each policy: a
+    state row is the cell's vector, a 2-cell's computed as it is read."""
+    rng = random.Random(5)
+    two_cells = 0
+    for trial in range(12):
+        g = random_connected_graph(rng, 12, 30)
+        policy = (DFS, BFS, SpanningTreePolicy("random", seed=trial))[trial % 3]
+        cx = lift(g, dim=D, seed=trial, policy=policy)
+        sub = retrieve_subcomplex(cx, cx.vector(trial % g.num_nodes),
+                                  k0=3, k1=3, k2=2, c2=0.2)
+        states = init_states(sub, state_dim=D)
+        assert states.cell_ids == sub.all_cells()
+        for cid in states.cell_ids:
+            assert np.array_equal(states.state(cid), cx.vector(cid))
+        two_cells += len(sub.cells2)
+    assert two_cells > 0
+
+
 def test_init_states_dim_mismatch():
     cx = lift(triangle(), dim=D)
     with pytest.raises(DimensionMismatch):
@@ -66,7 +85,7 @@ def test_init_states_dim_mismatch():
 
 def test_init_states_missing_embedding_errors():
     cx = lift(triangle(), dim=D)
-    stripped = cx.embeddings[:cx.n0 + cx.n1]  # drop the 2-cell embedding
+    stripped = cx.embeddings[:-1]  # drop the last 1-cell's row
     import dataclasses
     broken = dataclasses.replace(cx, embeddings=stripped)
     with pytest.raises(ValidationError):
@@ -311,8 +330,13 @@ def permute_complex(cx: CellComplex, rng: random.Random) -> tuple[CellComplex, d
     dst = np.array([e[-1] for e in ends], dtype=np.int32)
     boundaries = [None] * cx.n2
     for cid in cx.cell_ids(2):
-        boundaries[mapping[cid] - cx.n0 - cx.n1] = [
-            mapping[b] for b in cx.boundary(cid)]
+        *path, last = [mapping[b] for b in cx.boundary(cid)]
+        # a walk starts at the smaller end of its last 1-cell: when the
+        # relabeling swaps which end that is, the walk runs the other way
+        start = mapping[cx.cycle_vertices(cid)[0]]
+        if start != min(ends[last - cx.n0]):
+            path.reverse()
+        boundaries[mapping[cid] - cx.n0 - cx.n1] = path + [last]
     two_ptr, two_edges = csr(boundaries, np.int32)
     pairs = [None] * cx.n0
     for v in range(cx.n0):
@@ -321,7 +345,7 @@ def permute_complex(cx: CellComplex, rng: random.Random) -> tuple[CellComplex, d
     adj_ptr, adj = csr(pairs, np.int32)
     adj = adj.reshape(-1, 2)
     z = np.empty_like(cx.embeddings)
-    for cid in range(cx.num_cells):
+    for cid in range(cx.n0 + cx.n1):  # a 2-cell's vector is read off these
         z[mapping[cid]] = cx.embeddings[cid]
     permuted = dataclasses.replace(
         cx,
