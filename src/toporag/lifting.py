@@ -11,16 +11,15 @@ cycles form a basis of the graph's cycle space, which
 
 Cell ids are dense and dimension-ordered: 0-cells are ``0..n0-1``
 (equal to node ids), 1-cells ``n0..n0+n1-1`` (in edge order), 2-cells
-after that (in non-tree-edge order). Row ``c`` of the complex's
-embedding matrix is 0- or 1-cell ``c``'s vector; a 2-cell's is computed
-when it is read. The complex is arrays, built once (see :class:`CellComplex`).
+after that (in non-tree-edge order). :class:`CellComplex` is arrays: the
+forest, and each 2-cell's non-tree 1-cell and lowest common ancestor
+(LCA); cycles are built when read and prizes summed over root paths.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from array import array
 from collections import deque, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .graph_io import Edge, TextualGraph
+from .graph_io import TextualGraph
 
 logger = logging.getLogger(__name__)
 
@@ -58,9 +57,10 @@ class CellComplex:
     """An immutable 2-dimensional cell complex over a textual graph.
 
     Edge ``i`` joins ``edge_src[i]`` and ``edge_dst[i]`` (int32; equal for a
-    self-loop). Two CSRs (int64 offsets, int32 ids) hold 2-cell ``j``'s
-    boundary, ``two_edges[two_ptr[j]:two_ptr[j + 1]]``, and vertex ``v``'s
-    non-loop 1-cells and their other ends, ``adj_edge``/``adj_other`` over
+    self-loop). Int32 ``parent``, ``parent_edge`` (-1 at a root) and ``depth``
+    per vertex hold the forest; 2-cell ``j`` is the cycle of non-tree 1-cell
+    ``two_edge[j]``, whose ends meet at ``two_lca[j]``. Vertex ``v``'s
+    non-loop 1-cells and other ends are ``adj_edge``/``adj_other`` over
     ``adj_ptr[v]:adj_ptr[v + 1]``. ``components`` holds each component's
     sorted vertices; row ``c`` of the float32 ``embeddings`` is 0- or 1-cell
     ``c``'s vector (see :meth:`vector`); ``fingerprint`` names the provider."""
@@ -71,8 +71,11 @@ class CellComplex:
     n2: int
     edge_src: np.ndarray
     edge_dst: np.ndarray
-    two_ptr: np.ndarray
-    two_edges: np.ndarray
+    parent: np.ndarray
+    parent_edge: np.ndarray
+    depth: np.ndarray
+    two_edge: np.ndarray
+    two_lca: np.ndarray
     adj_ptr: np.ndarray
     adj_edge: np.ndarray
     adj_other: np.ndarray
@@ -85,6 +88,12 @@ class CellComplex:
     @property
     def num_cells(self) -> int:
         return self.n0 + self.n1 + self.n2
+
+    @cached_property
+    def cycle_lengths(self) -> np.ndarray:  # per 2-cell: tree path length + 1
+        depth, ends = self.depth, self.two_edge - self.n0
+        return (depth[self.edge_src[ends]] + depth[self.edge_dst[ends]]
+                - 2 * depth[self.two_lca] + 1)
 
     def cell_ids(self, dim: int) -> range:
         if dim not in (0, 1, 2):
@@ -105,10 +114,7 @@ class CellComplex:
         if 0 <= i < self.n1:
             src, dst = self.edge_src.item(i), self.edge_dst.item(i)
             return (src,) if src == dst else (src, dst)
-        if self.dim(cell_id) == 0:
-            return ()
-        start, stop = self.two_ptr.item(i - self.n1), self.two_ptr.item(i - self.n1 + 1)
-        return tuple(self.two_edges[start:stop].tolist())
+        return () if self.dim(cell_id) == 0 else tuple(self._cycle(cell_id)[1])
 
     def neighbors(self, vertex: int) -> list[tuple[int, int]]:
         """``(1-cell id, other endpoint)`` per non-loop 1-cell, ascending."""
@@ -133,21 +139,28 @@ class CellComplex:
         float64 mean of its cycle's vertex then edge rows in walk order."""
         if 0 <= cell_id < self.n0 + self.n1:
             return self.embeddings[cell_id]
-        rows = self.cycle_vertices(cell_id) + list(self.boundary(cell_id))
+        rows = sum(self._cycle(cell_id), [])  # the walk's vertices, then its 1-cells
         return self.embeddings[rows].astype(np.float64).mean(axis=0).astype(np.float32)
 
     def cycle_vertices(self, cell_id: int) -> list[int]:
         """A 2-cell's cycle vertices in walk order: vertex i is joined to
-        vertex i+1 (mod n) by boundary 1-cell i. The walk starts at the
-        smaller endpoint of the last 1-cell, the non-tree edge."""
+        vertex i+1 (mod n) by boundary 1-cell i."""
+        return self._cycle(cell_id)[0]
+
+    def _cycle(self, cell_id: int) -> tuple[list[int], list[int]]:
+        """A 2-cell's walk and boundary: from the smaller end of its non-tree
+        1-cell up to the ends' LCA, down to the other end, back over it."""
         if self.dim(cell_id) != 2:
             raise ValueError(f"cell {cell_id} is not a 2-cell")
-        *path, last = self.boundary(cell_id)
-        vertices = [min(self.boundary(last))]
-        for ecid in path:
-            a, b = self.boundary(ecid)
-            vertices.append(b if vertices[-1] == a else a)
-        return vertices
+        j = cell_id - self.n0 - self.n1
+        edge, top = self.two_edge.item(j), self.two_lca.item(j)
+        walk, path = ([], []), ([], [])
+        for side, v in enumerate(sorted(self.boundary(edge))):
+            while v != top:
+                walk[side].append(v)
+                path[side].append(self.parent_edge.item(v))
+                v = self.parent.item(v)
+        return walk[0] + [top] + walk[1][::-1], path[0] + path[1][::-1] + [edge]
 
 
 def _adjacency(graph: TextualGraph) -> list[list[tuple[int, int]]]:
@@ -159,17 +172,6 @@ def _adjacency(graph: TextualGraph) -> list[list[tuple[int, int]]]:
             adj[edge.src].append((ecid, edge.dst))
             adj[edge.dst].append((ecid, edge.src))
     return adj
-
-
-def _arrays(graph: TextualGraph, adj) -> dict[str, np.ndarray]:
-    """The :class:`CellComplex` arrays ``edge_src``, ``edge_dst`` and the
-    adjacency CSR ``adj_ptr``, ``adj_edge``, ``adj_other`` of ``adj``."""
-    return dict(
-        edge_src=np.array([e.src for e in graph.edges], dtype=np.int32),
-        edge_dst=np.array([e.dst for e in graph.edges], dtype=np.int32),
-        adj_ptr=np.cumsum([0] + [len(pairs) for pairs in adj], dtype=np.int64),
-        adj_edge=np.array([e for pairs in adj for e, _ in pairs], dtype=np.int32),
-        adj_other=np.array([w for pairs in adj for _, w in pairs], dtype=np.int32))
 
 
 def grow_forest(roots, neighbors, depth_first: bool = False):
@@ -239,34 +241,17 @@ def _rooted_forest(graph: TextualGraph, adj, policy: SpanningTreePolicy):
         (ecid, w) for ecid, w in adj[v] if ecid in tree])
 
 
-def _fundamental_cycle(forest, ecid: int, edge: Edge) -> list[int]:
-    """The 1-cell ids of the tree path in a rooted forest from the smaller
-    endpoint of the non-tree 1-cell ``ecid`` to the other, closed by that
-    1-cell. Both endpoints lie in one tree of the forest."""
-    parent, parent_edge, depth = forest[:3]
-    a, b = min(edge.src, edge.dst), max(edge.src, edge.dst)
-    edges_a, edges_b = [], []
-    while a != b:  # climb the deeper side; at equal depth, either
-        if depth[a] >= depth[b]:
-            edges_a.append(parent_edge[a])
-            a = parent[a]
-        else:
-            edges_b.append(parent_edge[b])
-            b = parent[b]
-    return edges_a + edges_b[::-1] + [ecid]
-
-
 def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
                edge_vecs: list[np.ndarray],
                policy: SpanningTreePolicy = DFS,
                fingerprint: str = "") -> CellComplex:
     """Lift ``graph`` into a cell complex.
 
-    One 0-cell per node, one 1-cell per edge, and one 2-cell per
-    non-tree, non-self-loop edge of the forest ``policy`` grows, glued
-    along its fundamental cycle. Only the node and edge vectors are stored
-    (:meth:`CellComplex.vector` computes a 2-cell's). Self-loops are
-    logged and skipped: a one-edge cycle cannot bound a regular disk.
+    One 0-cell per node, one 1-cell per edge, and one 2-cell per non-tree,
+    non-self-loop edge of the forest ``policy`` grows, glued along its
+    fundamental cycle. Stored are the forest, each 2-cell's LCA and the node
+    and edge vectors; cycles and 2-cell vectors are built when read.
+    Self-loops are logged and skipped: a one-edge cycle cannot bound a disk.
     """
     if len(node_vecs) != graph.num_nodes:
         raise ValidationError(
@@ -280,30 +265,40 @@ def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
 
     n0, n1 = graph.num_nodes, graph.num_edges
     adj = _adjacency(graph)
-    forest = _rooted_forest(graph, adj, policy)
-    tree = frozenset(ecid - n0 for ecid in forest[1].values())
-    z = np.array([*node_vecs, *edge_vecs], dtype=np.float32).reshape(
-        n0 + n1, dims.pop()[0] if dims else 0)
-    two_ptr, two_edges = [0], array("i")  # int32 entries, grown in place
+    forest = _rooted_forest(graph, adj, policy)  # parent, parent_edge, depth, trees
+    tree, two_edge = frozenset(e - n0 for e in forest[1].values()), []
     for idx, edge in enumerate(graph.edges):
         if edge.src == edge.dst:
             logger.warning("self-loop edge %d excluded from 2-cell attachment", idx)
         elif idx not in tree:
-            two_edges.extend(_fundamental_cycle(forest, n0 + idx, edge))
-            two_ptr.append(len(two_edges))
-
+            two_edge.append(n0 + idx)
+    arrays = {name: np.array(values, dtype=np.int32) for name, values in (
+        ("edge_src", [e.src for e in graph.edges]),
+        ("edge_dst", [e.dst for e in graph.edges]),
+        ("parent", [forest[0].get(v, -1) for v in range(n0)]),
+        ("parent_edge", [forest[1].get(v, -1) for v in range(n0)]),
+        ("depth", [forest[2][v] for v in range(n0)]),
+        ("two_edge", two_edge),
+        ("adj_edge", [e for pairs in adj for e, _ in pairs]),
+        ("adj_other", [w for pairs in adj for _, w in pairs]))}
+    # each 2-cell's LCA: the ends of all 2-cells climb together, the deeper
+    # end (at equal depth, the source) of each unmet pair one step a round
+    a, b = (arrays[end][arrays["two_edge"] - n0] for end in ("edge_src", "edge_dst"))
+    pending = np.flatnonzero(a != b)
+    while pending.size:
+        x, y = a[pending], b[pending]
+        up = arrays["depth"][x] >= arrays["depth"][y]
+        a[pending] = np.where(up, arrays["parent"][x], x)
+        b[pending] = np.where(up, y, arrays["parent"][y])
+        pending = pending[a[pending] != b[pending]]
+    z = np.array([*node_vecs, *edge_vecs], dtype=np.float32).reshape(
+        n0 + n1, dims.pop()[0] if dims else 0)
     return CellComplex(
-        graph=graph,
-        n0=n0, n1=n1, n2=len(two_ptr) - 1,
-        two_ptr=np.array(two_ptr, dtype=np.int64),
-        two_edges=np.frombuffer(two_edges, dtype=np.int32),
-        **_arrays(graph, adj),
-        components=tuple(tuple(sorted(c)) for c in forest[3]),
-        tree_edges=tree,
-        policy=policy,
-        embeddings=z,
-        fingerprint=fingerprint,
-    )
+        graph=graph, n0=n0, n1=n1, n2=len(two_edge), **arrays,
+        two_lca=a,
+        adj_ptr=np.cumsum([0] + [len(pairs) for pairs in adj], dtype=np.int64),
+        components=tuple(tuple(sorted(c)) for c in forest[3]), tree_edges=tree,
+        policy=policy, embeddings=z, fingerprint=fingerprint)
 
 
 def betti1(graph: TextualGraph) -> int:

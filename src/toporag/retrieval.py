@@ -110,10 +110,10 @@ def assign_prizes(ranked0: list[tuple[int, float]],
     ``eq14``. Every 2-cell gets the sum of its boundary 0/1-cell
     prizes minus ``|boundary edges| * C2``.
 
-    A fundamental cycle is simple, so each 1-cell carries its own prize
-    plus half of each ranked endpoint's, and a 2-cell sums its boundary
-    segment of these shares. Every share is a multiple of 1/2, so the
-    sums are exact in any order.
+    With ``down[v]`` the ranked prizes of the vertices and tree 1-cells
+    on v's root path summed, a 2-cell whose non-tree 1-cell ``e`` has ends
+    ``a``, ``b`` meeting at ``l`` sums ``down[a] + down[b] - 2 down[l] +
+    prize(l) + prize(e)``. Every prize is an integer, so sums are exact.
     """
     if indexing not in PRIZE_INDEXING:
         raise ValueError(f"indexing must be one of {PRIZE_INDEXING}")
@@ -128,15 +128,17 @@ def assign_prizes(ranked0: list[tuple[int, float]],
             prize[cid] = value
             out.append(RankedCell(cell_id=cid, rank=rank, similarity=sim,
                                   prize=value))
-    share = {r.cell_id: r.prize for r in ranked_cells1}
-    for r in ranked_cells0:
-        for ecid, _ in complex.neighbors(r.cell_id):
-            share[ecid] = share.get(ecid, 0.0) + r.prize / 2
-    shares = np.zeros(complex.num_cells)
-    shares[list(share)] = list(share.values())
-    ptr = complex.two_ptr
-    two = (np.add.reduceat(shares[complex.two_edges], ptr[:-1])
-           - (ptr[1:] - ptr[:-1]) * c2)
+    n0, edge, top = complex.n0, complex.two_edge, complex.two_lca
+    dense = np.zeros(n0 + complex.n1 + 1)  # the last 0 is read at a root's -1
+    dense[list(prize)] = list(prize.values())
+    # down[v]: v's root-path prizes, by pointer jumping; [-1] is a 0 at a root
+    down, up = np.zeros(n0 + 1), np.concatenate((complex.parent, [-1]))
+    down[:n0] = dense[:n0] + dense[complex.parent_edge]
+    for _ in range(int(complex.depth.max(initial=0)).bit_length()):
+        down, up = down + down[up], up[up]
+    a, b = complex.edge_src[edge - n0], complex.edge_dst[edge - n0]
+    two = down[a] + down[b] - 2 * down[top] + dense[top] + dense[edge]
+    two -= complex.cycle_lengths * c2
     prize.update(zip(complex.cell_ids(2), two.tolist()))
     return PrizeAssignment(
         prize=prize, c2=c2, c_edge=c_edge, ranked0=tuple(ranked_cells0),
@@ -177,7 +179,8 @@ def selection_objective(complex: CellComplex, assignment: PrizeAssignment,
     n0, n01 = complex.n0, complex.n0 + complex.n1
     connective = sum(n0 <= c < n01 and c not in ranked1 for c in cells)
     cost = assignment.c_edge * connective
-    cost += sum(len(complex.boundary(c)) * assignment.c2 for c in cells if c >= n01)
+    lengths = complex.cycle_lengths
+    cost += sum(int(lengths[c - n01]) * assignment.c2 for c in cells if c >= n01)
     return total_prize, cost
 
 

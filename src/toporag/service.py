@@ -82,6 +82,8 @@ class ServiceState:
         self.complexes = {}
         for gid, path in graph_paths.items():
             graph = load_graph(path)
+            if not graph.num_nodes:  # no cell could ever be retrieved
+                raise ValidationError(f"graph {gid!r} at {path} has no nodes")
             self.complexes[gid] = lift_from_config(graph, config,
                                                    provider=self.provider)
             logger.info("preloaded graph %s from %s", gid, path)

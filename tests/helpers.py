@@ -54,6 +54,23 @@ def random_connected_graph(rng: random.Random, n: int, m: int) -> TextualGraph:
     return make_graph(n, edges)
 
 
+def messy_graph(rng):
+    """1-3 components with self-loops and parallel edges, isolated
+    vertices, vertex ids shuffled across components."""
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(1, 20)
+        edges += [(n + rng.randrange(v), n + v) for v in range(1, size)]
+        edges += [(n + rng.randrange(size), n + rng.randrange(size))
+                  for _ in range(rng.randint(0, 2 * size))]
+        n += size
+    n += rng.randint(0, 2)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rng.shuffle(edges)
+    return make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 def lift(graph, dim=16, seed=7, policy=DFS):
     provider = DeterministicProvider(dim=dim, seed=seed)
     node_vecs = embed_texts([n.text for n in graph.nodes], provider)

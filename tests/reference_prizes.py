@@ -1,22 +1,34 @@
-"""The 2-cell prizes as a per-cell Python loop, for tests to compare the
-package's segmented sum against.
+"""The 2-cell prizes as a per-cell Python loop over the cycles that
+:mod:`reference_lifting` finds, for tests to compare the package's path
+sums against.
 
-Each 1-cell's share is its own ranked prize plus half of each ranked
-endpoint's; a 2-cell's prize is the sum of the shares around its
-boundary minus ``|boundary| * c2``. Reads only ``neighbors`` and
-``boundary`` of the complex.
+A 2-cell's prize is the sum of the ranked prizes of its cycle's vertices
+and 1-cells minus ``|boundary| * c2``. Reads only the complex's graph,
+policy and cell-id offsets: the spanning tree and every cycle come from
+the reference lift.
 """
 
+import reference_lifting as ref
 
-def two_cell_prizes(complex, assignment):
-    """{2-cell id: prize} under the assignment's ranked cells and c2."""
-    share = {r.cell_id: r.prize for r in assignment.ranked1}
-    for r in assignment.ranked0:
-        for ecid, _ in complex.neighbors(r.cell_id):
-            share[ecid] = share.get(ecid, 0.0) + r.prize / 2
-    prize = {}
-    for cid in complex.cell_ids(2):
-        boundary = complex.boundary(cid)
-        prize[cid] = (sum(share.get(e, 0.0) for e in boundary)
-                      - len(boundary) * assignment.c2)
-    return prize
+
+def cycle_cells(complex):
+    """{2-cell id: (the cell ids of its cycle's vertices and 1-cells,
+    boundary length)}; 2-cells follow their non-tree edges in edge order."""
+    graph, n0 = complex.graph, complex.n0
+    tree = ref.spanning_tree(graph, complex.policy)
+    closing = [idx for idx, e in enumerate(graph.edges)
+               if idx not in tree and e.src != e.dst]
+    cycles = {}
+    for cid, idx in enumerate(closing, n0 + graph.num_edges):
+        vertices, edges = ref.fundamental_cycle(graph, idx, tree)
+        cycles[cid] = (vertices[:-1] + [n0 + e for e in edges], len(edges))
+    return cycles
+
+
+def two_cell_prizes(cycles, assignment):
+    """{2-cell id: prize} of ``cycle_cells`` under the assignment's ranked
+    cells and c2."""
+    ranked = {r.cell_id: r.prize
+              for r in assignment.ranked0 + assignment.ranked1}
+    return {cid: sum(ranked.get(c, 0.0) for c in cells) - length * assignment.c2
+            for cid, (cells, length) in cycles.items()}

@@ -9,8 +9,8 @@ from toporag.lifting import (BFS, DFS, SpanningTreePolicy, betti1, gf2_rank,
                              grow_forest, lift_graph, verify_cycle_basis)
 
 import reference_lifting as ref
-from helpers import (k4, lift, make_graph, path3, random_connected_graph,
-                     triangle, two_triangles)
+from helpers import (k4, lift, make_graph, messy_graph, path3,
+                     random_connected_graph, triangle, two_triangles)
 from reference_reasoning import cofaces, upper_adjacent
 
 POLICIES = [DFS, BFS, SpanningTreePolicy("random", seed=11)]
@@ -289,9 +289,10 @@ def test_every_nontree_nonloop_edge_in_exactly_one_two_cell():
     assert all(v == 1 for v in count.values())
 
 
-def test_lift_stores_each_boundary_incidence_once():
-    """A 2-cell keeps only its boundary, a segment of one int32 array:
-    no per-step walk, no coface lists, no per-cell objects."""
+def test_lift_retains_a_bounded_size_per_cell():
+    """A 2-cell keeps only its non-tree 1-cell and the lowest common
+    ancestor of its ends: no boundary entries, no per-step walk, no coface
+    lists, no per-cell objects."""
     g = random_connected_graph(random.Random(1), 500, 1500)
     provider = DeterministicProvider(dim=8, seed=7)
     node_vecs = embed_texts([n.text for n in g.nodes], provider)
@@ -303,11 +304,13 @@ def test_lift_stores_each_boundary_incidence_once():
     finally:
         tracemalloc.stop()
     entries = sum(len(cx.boundary(cid)) for cid in cx.cell_ids(2))
-    assert entries == 146_657
-    # a boundary slot is 4 bytes; a tuple of 8-byte references per
-    # 2-cell, a stored walk step or a coface list entry would not fit
-    assert cx.two_edges.dtype == np.int32 and len(cx.two_edges) == entries
-    assert retained <= 8 * entries
+    assert entries == 146_657 == cx.cycle_lengths.sum()
+    # 160 bytes per cell holds the rows, the edge and adjacency arrays and
+    # the forest; the boundaries as int32, 195 bytes per cell, do not fit
+    bound = 160 * cx.num_cells
+    assert 4 * entries > bound
+    assert cx.two_edge.dtype == cx.two_lca.dtype == np.int32
+    assert retained <= bound
 
 
 def test_lift_stores_no_two_cell_rows():
@@ -326,7 +329,7 @@ def test_lift_stores_no_two_cell_rows():
         tracemalloc.stop()
     n01 = cx.n0 + cx.n1
     assert cx.embeddings.shape == (n01, d) and cx.n2 == 1001
-    assert retained <= n01 * d * 4 + 8 * len(cx.two_edges)
+    assert retained <= n01 * d * 4 + 160 * cx.num_cells
 
 
 # the accessors refuse each id below on the triangle (n0 = n1 = 3, n2 = 1):
@@ -343,23 +346,6 @@ def test_accessors_refuse_bad_ids_naming_them(accessor, bad):
     assert (cx.n0, cx.n1, cx.n2) == (3, 3, 1)
     with pytest.raises(ValueError, match=rf"(cell|vertex) {bad}\b"):
         getattr(cx, accessor)(bad)
-
-
-def messy_graph(rng):
-    """1-3 components with self-loops and parallel edges, isolated
-    vertices, vertex ids shuffled across components."""
-    edges, n = [], 0
-    for _ in range(rng.randint(1, 3)):
-        size = rng.randint(1, 20)
-        edges += [(n + rng.randrange(v), n + v) for v in range(1, size)]
-        edges += [(n + rng.randrange(size), n + rng.randrange(size))
-                  for _ in range(rng.randint(0, 2 * size))]
-        n += size
-    n += rng.randint(0, 2)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    rng.shuffle(edges)
-    return make_graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 def test_lift_rooting_matches_public_tree_and_cycles():

@@ -323,21 +323,24 @@ def permute_complex(cx: CellComplex, rng: random.Random) -> tuple[CellComplex, d
         ptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
         return ptr, np.array([x for r in rows for x in r], dtype=dtype)
 
+    def moved(values, new_index, relabel=True):
+        """``values`` placed at ``new_index``, relabeled through the
+        mapping when ``relabel`` (-1, at a root, stays)."""
+        out = np.empty_like(values)
+        out[new_index] = [mapping.get(x, -1) for x in values.tolist()] \
+            if relabel else values
+        return out
+
     ends = [None] * cx.n1
     for i in range(cx.n1):
         ends[p1[i]] = [p0[v] for v in cx.boundary(cx.n0 + i)]
     src = np.array([e[0] for e in ends], dtype=np.int32)
     dst = np.array([e[-1] for e in ends], dtype=np.int32)
-    boundaries = [None] * cx.n2
-    for cid in cx.cell_ids(2):
-        *path, last = [mapping[b] for b in cx.boundary(cid)]
-        # a walk starts at the smaller end of its last 1-cell: when the
-        # relabeling swaps which end that is, the walk runs the other way
-        start = mapping[cx.cycle_vertices(cid)[0]]
-        if start != min(ends[last - cx.n0]):
-            path.reverse()
-        boundaries[mapping[cid] - cx.n0 - cx.n1] = path + [last]
-    two_ptr, two_edges = csr(boundaries, np.int32)
+    # the walks follow from the relabeled forest and non-tree 1-cells
+    forest = dict(
+        parent=moved(cx.parent, p0), parent_edge=moved(cx.parent_edge, p0),
+        depth=moved(cx.depth, p0, relabel=False),
+        two_edge=moved(cx.two_edge, p2), two_lca=moved(cx.two_lca, p2))
     pairs = [None] * cx.n0
     for v in range(cx.n0):
         pairs[mapping[v]] = [(mapping[e], mapping[w])
@@ -349,8 +352,7 @@ def permute_complex(cx: CellComplex, rng: random.Random) -> tuple[CellComplex, d
         z[mapping[cid]] = cx.embeddings[cid]
     permuted = dataclasses.replace(
         cx,
-        edge_src=src, edge_dst=dst,
-        two_ptr=two_ptr, two_edges=two_edges,
+        edge_src=src, edge_dst=dst, **forest,
         adj_ptr=adj_ptr, adj_edge=adj[:, 0], adj_other=adj[:, 1],
         embeddings=z,
     )

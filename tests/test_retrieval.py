@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 from toporag.embedding import DeterministicProvider, cosine, embed_texts
 from toporag.errors import EmptyCandidates, TooLarge
 from toporag.lifting import BFS, DFS, SpanningTreePolicy, lift_graph
-from toporag.retrieval import (assign_prizes, enforce_boundary_consistency,
+from toporag.retrieval import (PRIZE_INDEXING, assign_prizes,
+                               enforce_boundary_consistency,
                                is_feasible, retrieve_subcomplex,
                                selection_objective, solve_subcomplex,
                                subcomplex_to_dict, topk_cells, topk_two_cells)
 
-from helpers import (lift, make_graph, random_connected_graph, triangle,
-                     two_triangles)
+from helpers import (lift, make_graph, messy_graph, random_connected_graph,
+                     triangle, two_triangles)
 from reference_lifting import components
 from reference_pcst import brute_force_subcomplex
-from reference_prizes import two_cell_prizes
+from reference_prizes import cycle_cells, two_cell_prizes
 
 
 def ranked_of(cells_with_sims):
@@ -153,28 +154,37 @@ def test_prize_monotone_nonincreasing_in_c2():
 
 
 def test_two_cell_prizes_match_loop_reference():
-    """The segmented sum equals the per-cell loop exactly, as Python floats,
-    under every policy: long DFS cycles and short BFS ones."""
+    """The path sums equal the per-cell loop over the reference lift's
+    cycles exactly, as Python floats, under every policy and indexing:
+    long DFS cycles and short BFS ones, and messy graphs with self-loops,
+    parallel edges (2-cycles whose LCA is an end), several components and
+    isolated vertices."""
     rng = random.Random(17)
     vec_rng = np.random.default_rng(17)
-    for n, m in ((60, 180), (500, 1500)):
-        g = random_connected_graph(rng, n, m)
+    graphs = [random_connected_graph(rng, n, m) for n, m in ((60, 180), (500, 1500))]
+    graphs += [messy_graph(rng) for _ in range(20)]
+    for g in graphs:
+        n, m = g.num_nodes, g.num_edges
         z0 = list(vec_rng.standard_normal((n, 16)).astype(np.float32))
         z1 = list(vec_rng.standard_normal((m, 16)).astype(np.float32))
         for policy in (DFS, BFS, SpanningTreePolicy("random", seed=n)):
             cx = lift_graph(g, z0, z1, policy=policy)
+            cycles = cycle_cells(cx)
             for _ in range(3):
                 z_q = vec_rng.standard_normal(16).astype(np.float32)
                 for k in (3, 5):
                     ranked0 = topk_cells(cx, z_q, 0, k)
                     ranked1 = topk_cells(cx, z_q, 1, k)
-                    for c2 in (0.5, 0.3):
-                        a = assign_prizes(ranked0, ranked1, cx, k, c2)
-                        expected = {r.cell_id: r.prize
-                                    for r in a.ranked0 + a.ranked1}
-                        expected.update(two_cell_prizes(cx, a))
-                        assert a.prize == expected
-                        assert all(type(v) is float for v in a.prize.values())
+                    for c2 in (0.5, 0.3, 0.1):
+                        for indexing in PRIZE_INDEXING:
+                            a = assign_prizes(ranked0, ranked1, cx, k, c2,
+                                              indexing=indexing)
+                            expected = {r.cell_id: r.prize
+                                        for r in a.ranked0 + a.ranked1}
+                            expected.update(two_cell_prizes(cycles, a))
+                            assert a.prize == expected
+                            assert all(type(v) is float
+                                       for v in a.prize.values())
 
 
 # --- top-k 2-cells ---

@@ -1,5 +1,6 @@
 import http.client
 import json
+import re
 import statistics
 import socket
 import sys
@@ -271,6 +272,18 @@ def test_missing_weight_file_fails_at_start():
                             weights_path="/nonexistent/w.bin")
     with pytest.raises(IoError, match="/nonexistent/w.bin"):
         make_server(config, {"scene": str(FIXTURES / "scene_loop")}, port=0)
+
+
+def test_graph_with_no_nodes_fails_at_start(tmp_path):
+    """No cell of an empty graph can be retrieved, so every request for it
+    would fail: the server refuses it at start, naming its id and path."""
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"nodes": [], "edges": []}))
+    config = PipelineConfig(embed_dim=16, state_dim=16, proj_dim=16, layers=2)
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"graph 'void' at {empty} has no nodes")):
+        make_server(config, {"scene": str(FIXTURES / "scene_loop"),
+                             "void": str(empty)}, port=0)
 
 
 def test_answer_runs_no_reasoning_pass(monkeypatch):
