@@ -12,8 +12,8 @@ cycles form a basis of the graph's cycle space, which
 Cell ids are dense and dimension-ordered: 0-cells are ``0..n0-1``
 (equal to node ids), 1-cells ``n0..n0+n1-1`` (in edge order), 2-cells
 after that (in non-tree-edge order). :class:`CellComplex` is arrays: the
-forest, and each 2-cell's non-tree 1-cell and lowest common ancestor
-(LCA); cycles are built when read and prizes summed over root paths.
+forest's power-of-two ancestor table and, per 2-cell, its non-tree 1-cell,
+cycle length and lowest common ancestor (LCA); cycles are built when read.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ class CellComplex:
     """An immutable 2-dimensional cell complex over a textual graph.
 
     Edge ``i`` joins ``edge_src[i]`` and ``edge_dst[i]`` (int32; equal for a
-    self-loop). Int32 ``parent``, ``parent_edge`` (-1 at a root) and ``depth``
-    per vertex hold the forest; 2-cell ``j`` is the cycle of non-tree 1-cell
+    self-loop). Int32 ``parent_edge`` (-1 at a root) and ``ancestors`` (row k
+    the 2^k-th ancestors, -1 above a root; last slot -1's own) hold the forest;
+    2-cell ``j``, of ``cycle_lengths[j]`` 1-cells, closes non-tree 1-cell
     ``two_edge[j]``, whose ends meet at ``two_lca[j]``. Vertex ``v``'s
     non-loop 1-cells and other ends are ``adj_edge``/``adj_other`` over
     ``adj_ptr[v]:adj_ptr[v + 1]``. ``components`` holds each component's
@@ -71,11 +72,11 @@ class CellComplex:
     n2: int
     edge_src: np.ndarray
     edge_dst: np.ndarray
-    parent: np.ndarray
+    ancestors: np.ndarray
     parent_edge: np.ndarray
-    depth: np.ndarray
     two_edge: np.ndarray
     two_lca: np.ndarray
+    cycle_lengths: np.ndarray
     adj_ptr: np.ndarray
     adj_edge: np.ndarray
     adj_other: np.ndarray
@@ -88,12 +89,6 @@ class CellComplex:
     @property
     def num_cells(self) -> int:
         return self.n0 + self.n1 + self.n2
-
-    @cached_property
-    def cycle_lengths(self) -> np.ndarray:  # per 2-cell: tree path length + 1
-        depth, ends = self.depth, self.two_edge - self.n0
-        return (depth[self.edge_src[ends]] + depth[self.edge_dst[ends]]
-                - 2 * depth[self.two_lca] + 1)
 
     def cell_ids(self, dim: int) -> range:
         if dim not in (0, 1, 2):
@@ -154,12 +149,12 @@ class CellComplex:
             raise ValueError(f"cell {cell_id} is not a 2-cell")
         j = cell_id - self.n0 - self.n1
         edge, top = self.two_edge.item(j), self.two_lca.item(j)
-        walk, path = ([], []), ([], [])
+        walk, path, parent = ([], []), ([], []), self.ancestors[0]
         for side, v in enumerate(sorted(self.boundary(edge))):
             while v != top:
                 walk[side].append(v)
                 path[side].append(self.parent_edge.item(v))
-                v = self.parent.item(v)
+                v = parent.item(v)
         return walk[0] + [top] + walk[1][::-1], path[0] + path[1][::-1] + [edge]
 
 
@@ -249,8 +244,9 @@ def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
 
     One 0-cell per node, one 1-cell per edge, and one 2-cell per non-tree,
     non-self-loop edge of the forest ``policy`` grows, glued along its
-    fundamental cycle. Stored are the forest, each 2-cell's LCA and the node
-    and edge vectors; cycles and 2-cell vectors are built when read.
+    fundamental cycle. Stored are the forest's ancestor table, each 2-cell's
+    LCA (found by binary lifting over it) and length, and the node and edge
+    vectors; cycles and 2-cell vectors are built when read.
     Self-loops are logged and skipped: a one-edge cycle cannot bound a disk.
     """
     if len(node_vecs) != graph.num_nodes:
@@ -275,27 +271,33 @@ def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
     arrays = {name: np.array(values, dtype=np.int32) for name, values in (
         ("edge_src", [e.src for e in graph.edges]),
         ("edge_dst", [e.dst for e in graph.edges]),
-        ("parent", [forest[0].get(v, -1) for v in range(n0)]),
+        ("parent", [forest[0].get(v, -1) for v in range(n0)] + [-1]),
         ("parent_edge", [forest[1].get(v, -1) for v in range(n0)]),
         ("depth", [forest[2][v] for v in range(n0)]),
         ("two_edge", two_edge),
         ("adj_edge", [e for pairs in adj for e, _ in pairs]),
         ("adj_other", [w for pairs in adj for _, w in pairs]))}
-    # each 2-cell's LCA: the ends of all 2-cells climb together, the deeper
-    # end (at equal depth, the source) of each unmet pair one step a round
-    a, b = (arrays[end][arrays["two_edge"] - n0] for end in ("edge_src", "edge_dst"))
-    pending = np.flatnonzero(a != b)
-    while pending.size:
-        x, y = a[pending], b[pending]
-        up = arrays["depth"][x] >= arrays["depth"][y]
-        a[pending] = np.where(up, arrays["parent"][x], x)
-        b[pending] = np.where(up, y, arrays["parent"][y])
-        pending = pending[a[pending] != b[pending]]
+    depth, table = arrays.pop("depth"), [arrays.pop("parent")]
+    for _ in range(1, int(depth.max(initial=1)).bit_length()):  # >= 1 row
+        table.append(table[-1][table[-1]])  # 2^(k+1) up is 2^k up, twice
+    # each 2-cell's LCA by binary lifting: the deeper end (row 0 of ends)
+    # climbs the depth gap by its bits, then both ends climb each table row,
+    # top down, at which their ancestors differ, and so stop below the LCA
+    src, dst = (arrays[end][arrays["two_edge"] - n0] for end in ("edge_src", "edge_dst"))
+    gap = depth[src] - depth[dst]
+    ends, gap = np.where(gap >= 0, [src, dst], [dst, src]), np.abs(gap)
+    for k, up in enumerate(table):
+        ends[0] = np.where(gap >> k & 1, up[ends[0]], ends[0])
+    for up in table[::-1]:
+        above = up[ends]
+        ends = np.where(above[0] != above[1], above, ends)
+    top = np.where(ends[0] == ends[1], ends[0], table[0][ends[0]])
     z = np.array([*node_vecs, *edge_vecs], dtype=np.float32).reshape(
         n0 + n1, dims.pop()[0] if dims else 0)
     return CellComplex(
         graph=graph, n0=n0, n1=n1, n2=len(two_edge), **arrays,
-        two_lca=a,
+        ancestors=np.stack(table), two_lca=top,
+        cycle_lengths=depth[src] + depth[dst] - 2 * depth[top] + 1,
         adj_ptr=np.cumsum([0] + [len(pairs) for pairs in adj], dtype=np.int64),
         components=tuple(tuple(sorted(c)) for c in forest[3]), tree_edges=tree,
         policy=policy, embeddings=z, fingerprint=fingerprint)

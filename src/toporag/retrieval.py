@@ -113,7 +113,8 @@ def assign_prizes(ranked0: list[tuple[int, float]],
     With ``down[v]`` the ranked prizes of the vertices and tree 1-cells
     on v's root path summed, a 2-cell whose non-tree 1-cell ``e`` has ends
     ``a``, ``b`` meeting at ``l`` sums ``down[a] + down[b] - 2 down[l] +
-    prize(l) + prize(e)``. Every prize is an integer, so sums are exact.
+    prize(l) + prize(e)``; ``down`` folds over the complex's ancestor table,
+    one round per row. Every prize is an integer, so sums are exact.
     """
     if indexing not in PRIZE_INDEXING:
         raise ValueError(f"indexing must be one of {PRIZE_INDEXING}")
@@ -131,11 +132,11 @@ def assign_prizes(ranked0: list[tuple[int, float]],
     n0, edge, top = complex.n0, complex.two_edge, complex.two_lca
     dense = np.zeros(n0 + complex.n1 + 1)  # the last 0 is read at a root's -1
     dense[list(prize)] = list(prize.values())
-    # down[v]: v's root-path prizes, by pointer jumping; [-1] is a 0 at a root
-    down, up = np.zeros(n0 + 1), np.concatenate((complex.parent, [-1]))
+    # down[v]: v's root-path prizes, row k adding the 2^k above; [-1] is a 0
+    down = np.zeros(n0 + 1)
     down[:n0] = dense[:n0] + dense[complex.parent_edge]
-    for _ in range(int(complex.depth.max(initial=0)).bit_length()):
-        down, up = down + down[up], up[up]
+    for up in complex.ancestors:
+        down = down + down[up]
     a, b = complex.edge_src[edge - n0], complex.edge_dst[edge - n0]
     two = down[a] + down[b] - 2 * down[top] + dense[top] + dense[edge]
     two -= complex.cycle_lengths * c2
@@ -420,6 +421,13 @@ def _connector_path(complex: CellComplex, selected: frozenset[int],
         d, hops, v = heapq.heappop(heap)
         if (d, hops) > dist[v]:
             continue
+        if v in targets:  # popped in (dist, hops, vertex) order: the goal
+            cells = set()
+            while v not in sources:
+                cells.add(v)
+                v, ecid = prev[v]
+                cells.add(ecid)
+            return frozenset(cells)
         for ecid, w in complex.neighbors(v):
             nd, nh = d + weight(ecid), hops + 1
             cur = dist.get(w)
@@ -427,18 +435,7 @@ def _connector_path(complex: CellComplex, selected: frozenset[int],
                 dist[w] = (nd, nh)
                 prev[w] = (v, ecid)
                 heapq.heappush(heap, (nd, nh, w))
-
-    reachable = [t for t in sorted(targets) if t in dist]
-    if not reachable:
-        return None
-    goal = min(reachable, key=lambda t: (dist[t][0], dist[t][1], t))
-    cells = set()
-    v = goal
-    while v not in sources:
-        cells.add(v)
-        v, ecid = prev[v]
-        cells.add(ecid)
-    return frozenset(cells)
+    return None
 
 
 def _solve_component(complex: CellComplex, assignment: PrizeAssignment,

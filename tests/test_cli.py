@@ -76,6 +76,23 @@ def test_lift_dump_and_stats_roundtrip(tmp_path, capsys, small_cfg,
     assert capsys.readouterr().out.strip() == lift_line
 
 
+@pytest.mark.parametrize("flags, policy, seed", [
+    ([], "dfs", 13), (["--policy", "bfs"], "bfs", 13),
+    (["--seed", "5"], "dfs", 5),
+    (["--policy", "random", "--seed", "5"], "random:5", 5),
+])
+def test_policy_and_seed_flags_override_the_config(tmp_path, capsys, small_cfg,
+                                                   triangle_path, flags, policy,
+                                                   seed):
+    dump = tmp_path / "dump.json"
+    assert main(["lift", triangle_path, "--config", small_cfg, *flags,
+                 "--out", str(dump)]) == 0
+    payload = json.loads(dump.read_text())
+    assert payload["policy"] == policy
+    assert payload["embedding"]["fingerprint"] == \
+        f"deterministic:v1:seed={seed}:dim=16"
+
+
 @pytest.mark.parametrize("text", [
     None,  # no file
     "{not json",

@@ -51,6 +51,30 @@ def test_k2_range_enforced():
         PipelineConfig(k2=4)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("k0", -1, "k0 and k1"), ("k1", -1, "k0 and k1"),
+    ("c2", -0.5, "c2 and c_edge"), ("c_edge", -1.0, "c2 and c_edge"),
+    ("prize_indexing", "eq15", "prize_indexing"),
+    ("embed_provider", "openai", "embed_provider"),
+    ("llm_provider", "local", "llm_provider"),
+    ("embed_dim", 0, "dimensions"), ("embed_dim", -16, "dimensions"),
+    ("state_dim", 0, "state_dim"), ("proj_dim", -1, "proj_dim"),
+    ("max_input_tokens", 0, "token budgets"),
+    ("max_new_tokens", -1, "token budgets"),
+])
+def test_out_of_range_value_rejected(field, value, message):
+    with pytest.raises(ValidationError, match=message):
+        PipelineConfig(**{field: value})
+
+
+@pytest.mark.parametrize("line", ["k2 2", "policy: \"bfs\"", "just text"])
+def test_line_without_equals_sign_rejected(tmp_path, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# comment\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"run.cfg:2: expected 'key = value'"):
+        load_config(path)
+
+
 def test_state_dim_must_match_embed_dim():
     with pytest.raises(ValidationError):
         PipelineConfig(embed_dim=64, state_dim=32)

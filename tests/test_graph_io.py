@@ -242,6 +242,22 @@ def test_ill_typed_qa_record_is_parse_error(tmp_path, key, value):
         load_qa_fixture(tmp_path)
 
 
+@pytest.mark.parametrize("case, message", [
+    ("unknown-src", "unknown node_id 99"),
+    ("empty-answers", "empty answers list"),
+    ("unknown-dataset", "unknown dataset tag 'trivia'"),
+])
+def test_dangling_or_empty_fixture_entry_is_validation_error(tmp_path, case,
+                                                            message):
+    graph = tmp_path / "g.json"
+    write_json_graph(graph, [(0, "a"), (1, "b")], [(0, 1, "x"), (99, 1, "y")])
+    if case != "unknown-src":
+        write_qa_fixture(tmp_path, **({"answers": []} if case == "empty-answers"
+                                      else {"dataset": "trivia"}))
+    with pytest.raises(ValidationError, match=message):
+        load_graph(graph) if case == "unknown-src" else load_qa_fixture(tmp_path)
+
+
 def test_well_typed_qa_record_loads(tmp_path):
     write_qa_fixture(tmp_path, answers=["a", "b"])
     [example] = load_qa_fixture(tmp_path)

@@ -424,6 +424,78 @@ def test_grow_forest_matches_reference():
                 assert got[3] == want[3]
 
 
+def naive_root_path(parent, v):
+    """v and its ancestors, one parent link at a time."""
+    path = [v]
+    while parent[path[-1]] != -1:
+        path.append(parent[path[-1]])
+    return path
+
+
+def naive_lca(parent, a, b):
+    """The lowest common ancestor by climbing: b up to the first vertex on
+    a's root path."""
+    above = set(naive_root_path(parent, a))
+    while b not in above:
+        b = parent[b]
+    return b
+
+
+def lca_pairs(cx):
+    """Each 2-cell's non-tree 1-cell ends and its LCA, as the lift found."""
+    ends = [cx.boundary(e) for e in cx.two_edge.tolist()]
+    return ends, cx.two_lca.tolist()
+
+
+def deep_graph(policy, depth):
+    """A graph whose ``policy`` forest has the given largest depth, with 60
+    seeded chords. DFS runs down a path of depth + 1 vertices, where every
+    chord joins a vertex to an ancestor. BFS splits a ring of 2 * depth
+    vertices at vertex 0 into two arms of that depth; a chord joins the
+    arms at one depth and meets its ends at vertex 0, far above them."""
+    rng = random.Random(depth)
+    if policy is DFS:
+        n, edges = depth + 1, [(v, v + 1) for v in range(depth)]
+        chords = [tuple(rng.sample(range(n), 2)) for _ in range(60)]
+        return make_graph(n, edges + [(0, depth), (1, depth - 1)] + chords)
+    n, edges = 2 * depth, [(v, (v + 1) % (2 * depth)) for v in range(2 * depth)]
+    chords = [(v, n - v) for v in rng.sample(range(1, depth), 60)]
+    return make_graph(n, edges + chords)
+
+
+@pytest.mark.parametrize("policy", [DFS, BFS], ids=str)
+@pytest.mark.parametrize("depth", [2**10 - 1, 2**10, 2**10 + 1])
+def test_two_lca_matches_a_naive_climb_on_deep_forests(policy, depth):
+    """Depths around a power of two: the table has one row per bit of the
+    largest depth, which the longest climbs need."""
+    g = deep_graph(policy, depth)
+    cx = bare_lift(g, policy)
+    parent = cx.ancestors[0].tolist()
+    ends, lcas = lca_pairs(cx)
+    assert cx.n2 == g.num_edges - g.num_nodes + 1
+    assert lcas == [naive_lca(parent, a, b) for a, b in ends]
+    assert max(len(naive_root_path(parent, v)) for v in range(cx.n0)) == \
+        depth + 1
+    assert len(cx.ancestors) == depth.bit_length()
+
+
+def test_two_lca_matches_a_naive_climb_on_messy_graphs():
+    rng = random.Random(17)
+    for trial in range(60):
+        g = messy_graph(rng)
+        for policy in (DFS, BFS, SpanningTreePolicy("random", seed=trial)):
+            cx = bare_lift(g, policy)
+            parent = cx.ancestors[0].tolist()
+            ends, lcas = lca_pairs(cx)
+            assert lcas == [naive_lca(parent, a, b) for a, b in ends]
+            depth = [len(naive_root_path(parent, v)) - 1 for v in range(cx.n0)]
+            assert len(cx.ancestors) == max(1, max(depth, default=0).bit_length())
+            for low, high in zip(cx.ancestors, cx.ancestors[1:]):
+                assert np.array_equal(high, low[low])  # 2^(k+1) up: 2^k twice
+            assert cx.cycle_lengths.tolist() == \
+                [len(cx.boundary(c)) for c in cx.cell_ids(2)]
+
+
 # --- cycle embedding aggregation ---
 
 def test_aggregate_identical_vectors_is_identity():

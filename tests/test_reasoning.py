@@ -338,9 +338,10 @@ def permute_complex(cx: CellComplex, rng: random.Random) -> tuple[CellComplex, d
     dst = np.array([e[-1] for e in ends], dtype=np.int32)
     # the walks follow from the relabeled forest and non-tree 1-cells
     forest = dict(
-        parent=moved(cx.parent, p0), parent_edge=moved(cx.parent_edge, p0),
-        depth=moved(cx.depth, p0, relabel=False),
-        two_edge=moved(cx.two_edge, p2), two_lca=moved(cx.two_lca, p2))
+        ancestors=np.stack([moved(row, p0 + [cx.n0]) for row in cx.ancestors]),
+        parent_edge=moved(cx.parent_edge, p0),
+        two_edge=moved(cx.two_edge, p2), two_lca=moved(cx.two_lca, p2),
+        cycle_lengths=moved(cx.cycle_lengths, p2, relabel=False))
     pairs = [None] * cx.n0
     for v in range(cx.n0):
         pairs[mapping[v]] = [(mapping[e], mapping[w])

@@ -1,3 +1,4 @@
+import heapq
 import json
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toporag import retrieval
 from toporag.embedding import DeterministicProvider, cosine, embed_texts
 from toporag.errors import EmptyCandidates, TooLarge
 from toporag.lifting import BFS, DFS, SpanningTreePolicy, lift_graph
@@ -347,6 +349,80 @@ def test_solver_single_heavy_node():
     sub = solve_subcomplex(cx, a, [], fallback=(2, .99))
     assert sub.cells0 == (2,)
     assert sub.cells1 == ()
+
+
+def test_leftover_two_cells_enter_together_as_one_batch():
+    """Neither offered 2-cell pays on its own, so only the batch of
+    leftovers, offered after the one-by-one pass, takes both."""
+    g = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (2, 3), (0, 3),
+                       (2, 3)])
+    rng = np.random.default_rng(285)
+    node_vecs = list(rng.standard_normal((6, 8)).astype(np.float32))
+    edge_vecs = list(rng.standard_normal((8, 8)).astype(np.float32))
+    z_q = rng.standard_normal(8).astype(np.float32)
+    cx = lift_graph(g, node_vecs, edge_vecs, policy=BFS)
+    a = assign_prizes(topk_cells(cx, z_q, 0, 3), topk_cells(cx, z_q, 1, 3), cx,
+                      (3, 3), 0.5)
+    assert topk_two_cells(a, cx, 2) == [14, 15]
+    sub = retrieve_subcomplex(cx, z_q, 3, 3, 2, 0.5)
+    assert sub.cells2 == (14, 15)
+    assert is_feasible(cx, frozenset(sub.all_cells()))
+    assert sub.objective <= brute_force_subcomplex(cx, a).objective
+
+
+def reference_connector_path(complex, selected, assignment, targets):
+    """The connector search that settles every vertex of the sources'
+    component, then picks the target of least (distance, hops, vertex)."""
+    sources = {c for c in selected if c < complex.n0}
+    if not sources:
+        return None
+    ranked1 = assignment.ranked1_ids
+    dist, prev, heap = {}, {}, []
+    for s in sorted(sources):
+        dist[s] = (0.0, 0)
+        heapq.heappush(heap, (0.0, 0, s))
+    while heap:
+        d, hops, v = heapq.heappop(heap)
+        if (d, hops) > dist[v]:
+            continue
+        for ecid, w in complex.neighbors(v):
+            step = 0.0 if ecid in selected or ecid in ranked1 else assignment.c_edge
+            if w not in dist or (d + step, hops + 1) < dist[w]:
+                dist[w], prev[w] = (d + step, hops + 1), (v, ecid)
+                heapq.heappush(heap, (d + step, hops + 1, w))
+    reachable = [t for t in targets if t in dist]
+    if not reachable:
+        return None
+    v, cells = min(reachable, key=lambda t: (*dist[t], t)), set()
+    while v not in sources:
+        cells.add(v)
+        v, ecid = prev[v]
+        cells.add(ecid)
+    return frozenset(cells)
+
+
+def test_connector_search_stops_at_the_reference_goal(monkeypatch):
+    """Every connector the solver asks for on seeded sparse BFS complexes
+    equals the settle-everything reference's."""
+    real, found = retrieval._connector_path, []
+
+    def checked(*args):
+        got = real(*args)
+        assert got == reference_connector_path(*args)
+        found.append(got)
+        return got
+
+    monkeypatch.setattr(retrieval, "_connector_path", checked)
+    for seed in range(40):
+        g = random_connected_graph(random.Random(seed), 60, 80)
+        rng = np.random.default_rng(seed)
+        cx = lift_graph(g, list(rng.standard_normal((60, 8)).astype(np.float32)),
+                        list(rng.standard_normal((80, 8)).astype(np.float32)),
+                        policy=BFS)
+        for _ in range(5):
+            z_q = rng.standard_normal(8).astype(np.float32)
+            retrieve_subcomplex(cx, z_q, 3, 3, 3, 0.1)
+    assert sum(cells is not None for cells in found) >= 100
 
 
 def test_solver_feasible_and_bounded_by_oracle():

@@ -73,6 +73,36 @@ def test_answer_endpoint(service):
     assert payload["latency_ms"] >= 0
 
 
+@pytest.mark.parametrize("handler", ["retrieve", "answer"])
+def test_unexpected_handler_error_is_500_and_the_server_stays_up(monkeypatch,
+                                                                 handler):
+    real, failures = getattr(ServiceState, handler), [RuntimeError("boom")]
+
+    def fails_once(self, *args):
+        if failures:
+            raise failures.pop()
+        return real(self, *args)
+
+    monkeypatch.setattr(ServiceState, handler, fails_once)
+    config = PipelineConfig(embed_dim=16, state_dim=16, proj_dim=16, layers=2,
+                            mock_llm_mode="echo")
+    server = make_server(config, {"scene": str(FIXTURES / "scene_loop")},
+                         port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address
+    try:
+        url = f"http://{host}:{port}/v1/{handler}"
+        body = {"graph_id": "scene", "question": "where is the vase"}
+        resp = requests.post(url, json=body, timeout=10)
+        assert resp.status_code == 500
+        assert resp.json() == {"error": "RuntimeError: boom"}
+        assert requests.post(url, json=body, timeout=10).status_code == 200
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_unknown_graph_404(service):
     resp = requests.post(f"{service}/v1/retrieve",
                          json={"graph_id": "nope", "question": "q"},
