@@ -69,10 +69,11 @@ def _complex_dump(complex, report, cache: str = "") -> dict:
         "cells": {
             "1": [{"id": c, "boundary": list(complex.boundary(c))}
                   for c in complex.cell_ids(1)],
-            "2": [{"id": c, "boundary": list(complex.boundary(c)),
+            "2": [{"id": c, "boundary": boundary,
                    "walk": [list(step) for step in zip(
-                       complex.cycle_vertices(c), complex.boundary(c))]}
-                  for c in complex.cell_ids(2)],
+                       complex.cycle_vertices(c), boundary)]}
+                  for c in complex.cell_ids(2)
+                  for boundary in [list(complex.boundary(c))]],
         },
         "embedding": {
             "dim": complex.embeddings.shape[1],

@@ -83,7 +83,7 @@ class PipelineConfig:
             self.reasoning_config()
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-        if self.embed_dim <= 0 or self.state_dim <= 0 or self.proj_dim <= 0:
+        if self.embed_dim <= 0:
             raise ValidationError("dimensions must be positive")
         if self.state_dim != self.embed_dim:
             raise ValidationError(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,20 +40,21 @@ class RankedCell:
     prize: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field has no truth value to compare
 class PrizeAssignment:
-    """Per-cell prizes and the constants that produced them."""
+    """Per-cell prizes and the constants that produced them: ``prize[c]``
+    is cell ``c``'s (float64; 0 for an unranked 0- or 1-cell)."""
 
-    prize: dict[int, float]
+    prize: np.ndarray
     c2: float
     c_edge: float
     ranked0: tuple[RankedCell, ...]
     ranked1: tuple[RankedCell, ...]
 
     def prize_of(self, cell_id: int) -> float:
-        return self.prize.get(cell_id, 0.0)
+        return self.prize.item(cell_id)
 
-    @property
+    @cached_property
     def ranked1_ids(self) -> frozenset[int]:
         return frozenset(r.cell_id for r in self.ranked1)
 
@@ -103,12 +105,12 @@ def assign_prizes(ranked0: list[tuple[int, float]],
                   c2: float,
                   c_edge: float = 1.0,
                   indexing: str = "alg3") -> PrizeAssignment:
-    """Turn similarity rankings into per-cell prizes.
+    """Turn similarity rankings into one prize vector over the cell ids.
 
     The r-th ranked cell (0-based) of dimension d gets ``k_d - r``
     under the default ``alg3`` indexing, or ``k_d - r - 1`` under
-    ``eq14``. Every 2-cell gets the sum of its boundary 0/1-cell
-    prizes minus ``|boundary edges| * C2``.
+    ``eq14``; other 0/1-cells get 0. Every 2-cell gets the sum of its
+    boundary 0/1-cell prizes minus ``|boundary edges| * C2``.
 
     With ``down[v]`` the ranked prizes of the vertices and tree 1-cells
     on v's root path summed, a 2-cell whose non-tree 1-cell ``e`` has ends
@@ -120,42 +122,37 @@ def assign_prizes(ranked0: list[tuple[int, float]],
         raise ValueError(f"indexing must be one of {PRIZE_INDEXING}")
     k0, k1 = (k, k) if isinstance(k, int) else k
     offset = 0 if indexing == "alg3" else 1
-    prize: dict[int, float] = {}
-    ranked_cells0, ranked_cells1 = [], []
-    for out, ranked, kd in ((ranked_cells0, ranked0, k0),
-                            (ranked_cells1, ranked1, k1)):
-        for rank, (cid, sim) in enumerate(ranked):
-            value = float(kd - rank - offset)
-            prize[cid] = value
-            out.append(RankedCell(cell_id=cid, rank=rank, similarity=sim,
-                                  prize=value))
-    n0, edge, top = complex.n0, complex.two_edge, complex.two_lca
-    dense = np.zeros(n0 + complex.n1 + 1)  # the last 0 is read at a root's -1
-    dense[list(prize)] = list(prize.values())
+    cells0, cells1 = (tuple(RankedCell(cell_id=cid, rank=rank, similarity=sim,
+                                       prize=float(kd - rank - offset))
+                            for rank, (cid, sim) in enumerate(ranked))
+                      for ranked, kd in ((ranked0, k0), (ranked1, k1)))
+    n0, n01 = complex.n0, complex.n0 + complex.n1
+    edge, top = complex.two_edge, complex.two_lca
+    prize = np.zeros(complex.num_cells + 1)  # the last 0 is read at a root's -1
+    for r in cells0 + cells1:
+        prize[r.cell_id] = r.prize
     # down[v]: v's root-path prizes, row k adding the 2^k above; [-1] is a 0
     down = np.zeros(n0 + 1)
-    down[:n0] = dense[:n0] + dense[complex.parent_edge]
+    down[:n0] = prize[:n0] + prize[complex.parent_edge]
     for up in complex.ancestors:
         down = down + down[up]
     a, b = complex.edge_src[edge - n0], complex.edge_dst[edge - n0]
-    two = down[a] + down[b] - 2 * down[top] + dense[top] + dense[edge]
-    two -= complex.cycle_lengths * c2
-    prize.update(zip(complex.cell_ids(2), two.tolist()))
-    return PrizeAssignment(
-        prize=prize, c2=c2, c_edge=c_edge, ranked0=tuple(ranked_cells0),
-        ranked1=tuple(ranked_cells1),
-    )
+    prize[n01:-1] = down[a] + down[b] - 2 * down[top] + prize[top] + prize[edge]
+    prize[n01:-1] -= complex.cycle_lengths * c2
+    return PrizeAssignment(prize=prize[:-1], c2=c2, c_edge=c_edge,
+                           ranked0=cells0, ranked1=cells1)
 
 
 def topk_two_cells(assignment: PrizeAssignment, complex: CellComplex,
                    k2: int) -> list[int]:
-    """Top-k2 2-cells by prize; only strictly positive prizes qualify."""
+    """Top-k2 2-cells by prize, then id; only positive prizes qualify."""
     if k2 <= 0:
         return []
-    eligible = [(cid, assignment.prize_of(cid)) for cid in complex.cell_ids(2)
-                if assignment.prize_of(cid) > 0.0]
-    eligible.sort(key=lambda t: (-t[1], t[0]))
-    return [cid for cid, _ in eligible[:k2]]
+    n01 = complex.n0 + complex.n1
+    two = assignment.prize[n01:]
+    eligible = np.flatnonzero(two > 0.0)
+    best = eligible[np.argsort(-two[eligible], kind="stable")[:k2]]
+    return (best + n01).tolist()
 
 
 def enforce_boundary_consistency(complex: CellComplex,
@@ -442,13 +439,14 @@ def _solve_component(complex: CellComplex, assignment: PrizeAssignment,
                      component_vertices: tuple[int, ...],
                      selected2: list[int]) -> frozenset[int]:
     """Phase a+b of the solver for one graph component."""
-    vset = set(component_vertices)
-    ranked1 = assignment.ranked1_ids
-    node_prize = {v: assignment.prize_of(v) for v in component_vertices}
+    vset, ranked1, n0 = set(component_vertices), assignment.ranked1_ids, complex.n0
+    vertices, src, dst = list(component_vertices), complex.edge_src, complex.edge_dst
+    node_prize = dict(zip(vertices, assignment.prize[vertices].tolist()))
+    inside = np.zeros(n0, bool)
+    inside[vertices] = True
+    ids = np.flatnonzero(inside[src] & (src != dst))  # its non-loop 1-cells
     edges = []
-    for cid in sorted({ecid for v in component_vertices
-                       for ecid, _ in complex.neighbors(v)}):
-        u, v = complex.boundary(cid)
+    for cid, u, v in zip((ids + n0).tolist(), src[ids].tolist(), dst[ids].tolist()):
         ranked = cid in ranked1
         if ranked:  # ranked edge prizes are folded into endpoint half-prizes
             half = assignment.prize_of(cid) / 2.0

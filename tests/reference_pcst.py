@@ -1,8 +1,11 @@
-"""Exact reference for subcomplex selection on small instances.
+"""Exact references for subcomplex selection.
 
-Exhaustive enumeration over every cell subset. It shares no search
-code with the solver it checks: only the objective, the feasibility
-test and the result packaging of :mod:`toporag.retrieval`.
+``brute_force_subcomplex`` enumerates every cell subset of a small
+complex. It shares no search code with the solver it checks: only the
+objective, the feasibility test and the result packaging of
+:mod:`toporag.retrieval`. ``forest_optimum`` is a rooted DP giving the
+optimal objective when the 1-skeleton is a forest, at any size; it reads
+only the graph and the assignment's ranked cells and constants.
 """
 
 from toporag.errors import EmptyCandidates, TooLarge
@@ -44,3 +47,45 @@ def brute_force_subcomplex(complex, assignment):
     if best is None:
         raise EmptyCandidates("no feasible nonempty subcomplex")
     return _make_subcomplex(complex, assignment, [best[1]])
+
+
+def forest_optimum(complex, assignment):
+    """Optimal objective over connected selections of a loop-free forest.
+
+    On a tree a connected selection is a subtree. Rooting each tree at its
+    first vertex, ``f(v) = prize(v) + sum over children c of
+    max(0, f(c) + prize(e) - cost(e))`` is the best subtree whose topmost
+    vertex is v, where e joins c to v and ``cost(e)`` is 0 for a ranked
+    1-cell and ``c_edge`` otherwise. A tree's optimum is
+    ``max(0, max_v f(v))``; the forest's is their sum.
+    """
+    graph, n0 = complex.graph, complex.n0
+    if complex.n2 or any(e.src == e.dst for e in graph.edges):
+        raise ValueError("not a loop-free forest")
+    prize = {r.cell_id: r.prize for r in assignment.ranked0 + assignment.ranked1}
+    ranked1 = {r.cell_id for r in assignment.ranked1}
+    adj = [[] for _ in range(n0)]
+    for cid, e in enumerate(graph.edges, n0):
+        gain = prize.get(cid, 0.0) - (0.0 if cid in ranked1 else assignment.c_edge)
+        adj[e.src].append((e.dst, gain))
+        adj[e.dst].append((e.src, gain))
+    up = [None] * n0  # (parent, gain of the joining edge); a root's stays None
+    reached, total = [False] * n0, 0.0
+    for root in range(n0):
+        if reached[root]:
+            continue
+        reached[root], order, stack = True, [], [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for w, gain in adj[v]:
+                if not reached[w]:
+                    reached[w], up[w] = True, (v, gain)
+                    stack.append(w)
+        f = {v: prize.get(v, 0.0) for v in order}
+        for v in reversed(order):  # children before parents
+            if up[v] is not None:
+                parent, gain = up[v]
+                f[parent] += max(0.0, f[v] + gain)
+        total += max(0.0, max(f.values()))
+    return total

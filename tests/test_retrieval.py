@@ -20,8 +20,9 @@ from toporag.retrieval import (PRIZE_INDEXING, assign_prizes,
 from helpers import (lift, make_graph, messy_graph, random_connected_graph,
                      triangle, two_triangles)
 from reference_lifting import components
-from reference_pcst import brute_force_subcomplex
-from reference_prizes import cycle_cells, two_cell_prizes
+from reference_pcst import brute_force_subcomplex, forest_optimum
+from reference_prizes import (cycle_cells, dict_prizes,
+                              loop_topk_two_cells, two_cell_prizes)
 
 
 def ranked_of(cells_with_sims):
@@ -156,8 +157,9 @@ def test_prize_monotone_nonincreasing_in_c2():
 
 
 def test_two_cell_prizes_match_loop_reference():
-    """The path sums equal the per-cell loop over the reference lift's
-    cycles exactly, as Python floats, under every policy and indexing:
+    """The prize vector equals the per-cell loop over the reference lift's
+    cycles exactly, entry by entry (an unranked 0/1-cell reads 0.0), as
+    Python floats, under every policy and indexing:
     long DFS cycles and short BFS ones, and messy graphs with self-loops,
     parallel edges (2-cycles whose LCA is an end), several components and
     isolated vertices."""
@@ -184,9 +186,41 @@ def test_two_cell_prizes_match_loop_reference():
                             expected = {r.cell_id: r.prize
                                         for r in a.ranked0 + a.ranked1}
                             expected.update(two_cell_prizes(cycles, a))
-                            assert a.prize == expected
-                            assert all(type(v) is float
-                                       for v in a.prize.values())
+                            assert len(a.prize) == cx.num_cells
+                            for c in range(cx.num_cells):
+                                assert type(a.prize_of(c)) is float
+                                assert a.prize_of(c) == expected.get(c, 0.0)
+
+
+def test_prize_vector_and_two_cell_ranking_match_dict_reference():
+    """The prize vector and the argsort top-k2 equal the dict-and-loop
+    ``assign_prizes``/``topk_two_cells`` exactly: every cell's prize and
+    every top-k2 list for k2 = 0..5, on messy graphs (self-loops, parallel
+    edges, 1-3 components) under every policy, indexing and c2."""
+    rng = random.Random(25)
+    vec_rng = np.random.default_rng(25)
+    for trial in range(30):
+        g = messy_graph(rng)
+        n, m = g.num_nodes, g.num_edges
+        z0 = list(vec_rng.standard_normal((n, 8)).astype(np.float32))
+        z1 = list(vec_rng.standard_normal((m, 8)).astype(np.float32))
+        z_q = vec_rng.standard_normal(8).astype(np.float32)
+        k = (rng.randint(0, 5), rng.randint(0, 5))
+        for policy in (DFS, BFS, SpanningTreePolicy("random", seed=trial)):
+            cx = lift_graph(g, z0, z1, policy=policy)
+            ranked0 = topk_cells(cx, z_q, 0, k[0])
+            ranked1 = topk_cells(cx, z_q, 1, k[1])
+            for c2 in (0.5, 0.3, 0.1):
+                for indexing in PRIZE_INDEXING:
+                    a = assign_prizes(ranked0, ranked1, cx, k, c2,
+                                      indexing=indexing)
+                    ref = dict_prizes(ranked0, ranked1, cx, k, c2,
+                                      indexing=indexing)
+                    assert [a.prize_of(c) for c in range(cx.num_cells)] == \
+                        [ref.get(c, 0.0) for c in range(cx.num_cells)]
+                    for k2 in range(6):
+                        assert topk_two_cells(a, cx, k2) == \
+                            loop_topk_two_cells(ref, cx, k2)
 
 
 # --- top-k 2-cells ---
@@ -423,6 +457,42 @@ def test_connector_search_stops_at_the_reference_goal(monkeypatch):
             z_q = rng.standard_normal(8).astype(np.float32)
             retrieve_subcomplex(cx, z_q, 3, 3, 3, 0.1)
     assert sum(cells is not None for cells in found) >= 100
+
+
+def random_forest(rng):
+    """1-3 random trees of up to 60 vertices each, vertex ids shuffled
+    across trees and edges in random order."""
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(1, 60)
+        edges += [(n + rng.randrange(v), n + v) for v in range(1, size)]
+        n += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rng.shuffle(edges)
+    return make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_solver_is_exact_on_forests():
+    """On forests the solver's objective equals the rooted-DP optimum of
+    ``forest_optimum`` exactly: 300 seeded forests, c_edge 1 and 0.5,
+    k = 3 and 5, both indexings."""
+    rng = random.Random(31)
+    vec_rng = np.random.default_rng(31)
+    for _ in range(300):
+        g = random_forest(rng)
+        cx = lift_graph(
+            g, list(vec_rng.standard_normal((g.num_nodes, 8)).astype(np.float32)),
+            list(vec_rng.standard_normal((g.num_edges, 8)).astype(np.float32)))
+        z_q = vec_rng.standard_normal(8).astype(np.float32)
+        ranked0, ranked1 = topk_cells(cx, z_q, 0, 5), topk_cells(cx, z_q, 1, 5)
+        for k in (3, 5):
+            for c_edge in (1.0, 0.5):
+                for indexing in PRIZE_INDEXING:
+                    a = assign_prizes(ranked0[:k], ranked1[:k], cx, k, 0.5,
+                                      c_edge=c_edge, indexing=indexing)
+                    sub = solve_subcomplex(cx, a, [], ranked0[0])
+                    assert sub.objective == forest_optimum(cx, a)
 
 
 def test_solver_feasible_and_bounded_by_oracle():
