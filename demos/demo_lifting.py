@@ -10,8 +10,7 @@ Run from the repository root:  python3 demos/demo_lifting.py
 from pathlib import Path
 
 from toporag import (BFS, DFS, DeterministicProvider, SpanningTreePolicy,
-                     betti1, embed_texts, lift_graph, load_graph,
-                     verify_cycle_basis)
+                     embed_texts, lift_graph, load_graph, verify_cycle_basis)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -27,13 +26,13 @@ provider = DeterministicProvider(dim=64, seed=0)
 node_vecs = embed_texts([n.text for n in graph.nodes], provider)
 edge_vecs = embed_texts([e.text for e in graph.edges], provider)
 
-print(f"\ncyclomatic number: {betti1(graph)} independent cycle(s)")
 for policy in (DFS, BFS, SpanningTreePolicy("random", seed=4)):
     complex = lift_graph(graph, node_vecs, edge_vecs, policy=policy)
     report = verify_cycle_basis(complex)
     print(f"\npolicy {policy}: {complex.n0} zero-cells, "
           f"{complex.n1} one-cells, {complex.n2} two-cells")
-    print(f"  cycle basis rank over GF(2): {report.rank_gf2} "
+    print(f"  cyclomatic number {report.betti1}; the forest certifies "
+          f"{report.rank_gf2} fundamental cycle(s) as a basis "
           f"(independent={report.independent}, spans={report.spans})")
     for cid in complex.cell_ids(2):
         walk = complex.cycle_vertices(cid)

@@ -17,8 +17,7 @@ from .generation import (ChatCompletionsClient, GenerationResult, MockLlmClient,
 from .graph_io import (Edge, Node, QaExample, TextualGraph, load_graph,
                        load_qa_fixture, save_graph)
 from .lifting import (BFS, DFS, CellComplex, CycleBasisReport,
-                      SpanningTreePolicy, betti1, lift_graph,
-                      verify_cycle_basis)
+                      SpanningTreePolicy, lift_graph, verify_cycle_basis)
 from .pipeline import answer_question, lift_from_config, retrieve_for_question
 from .reasoning import (CellStates, ReasoningConfig, ReasoningWeights, forward,
                         init_states, pool, project, stage1_pass, stage2_pass)

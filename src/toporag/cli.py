@@ -17,7 +17,7 @@ from .config import PipelineConfig, load_config
 from .evaluation import evaluate, format_report, format_sweep, sweep_k2
 from .generation import MockLlmClient
 from .graph_io import check_question, load_graph, load_qa_fixture
-from .lifting import betti1, verify_cycle_basis
+from .lifting import verify_cycle_basis
 from .pipeline import (answer_question, build_embedding_provider,
                        build_llm_client, check_weights, lift_from_config,
                        load_or_init_weights, retrieve_for_question)
@@ -60,12 +60,13 @@ def _stats_line(n0: int, n1: int, n2: int, b1: int, rank: int,
 def _complex_dump(complex, report, cache: str = "") -> dict:
     return {
         "counts": {"n0": complex.n0, "n1": complex.n1, "n2": complex.n2},
-        "betti1": betti1(complex.graph),
+        "betti1": report.betti1,
         "rank_gf2": report.rank_gf2,
         "independent": report.independent,
         "spans": report.spans,
         "policy": str(complex.policy),
-        "tree_edges": sorted(complex.tree_edges),
+        "tree_edges": sorted((complex.parent_edge[complex.parent_edge >= 0]
+                              - complex.n0).tolist()),
         "cells": {
             "1": [{"id": c, "boundary": list(complex.boundary(c))}
                   for c in complex.cell_ids(1)],
@@ -94,7 +95,7 @@ def cmd_lift(args) -> int:
     complex = lift_from_config(graph, config)
     report = verify_cycle_basis(complex)
     print(_stats_line(complex.n0, complex.n1, complex.n2,
-                      betti1(graph), report.rank_gf2,
+                      report.betti1, report.rank_gf2,
                       report.independent, report.spans))
     if args.out:
         _write_text(Path(args.out), json.dumps(

@@ -7,7 +7,7 @@ unique tree path between the edge's endpoints plus the edge itself.
 The number of 2-cells therefore equals the cyclomatic number
 ``|E| - |V| + #components`` (self-loops excluded), and the fundamental
 cycles form a basis of the graph's cycle space, which
-:func:`verify_cycle_basis` certifies by GF(2) rank.
+:func:`verify_cycle_basis` certifies from the forest's arrays.
 
 Cell ids are dense and dimension-ordered: 0-cells are ``0..n0-1``
 (equal to node ids), 1-cells ``n0..n0+n1-1`` (in edge order), 2-cells
@@ -62,9 +62,10 @@ class CellComplex:
     2-cell ``j``, of ``cycle_lengths[j]`` 1-cells, closes non-tree 1-cell
     ``two_edge[j]``, whose ends meet at ``two_lca[j]``. Vertex ``v``'s
     non-loop 1-cells and other ends are ``adj_edge``/``adj_other`` over
-    ``adj_ptr[v]:adj_ptr[v + 1]``. ``components`` holds each component's
-    sorted vertices; row ``c`` of the float32 ``embeddings`` is 0- or 1-cell
-    ``c``'s vector (see :meth:`vector`); ``fingerprint`` names the provider."""
+    ``adj_ptr[v]:adj_ptr[v + 1]``. Int32 ``component[v]`` numbers v's tree,
+    in the order of each tree's smallest vertex; row ``c`` of the float32
+    ``embeddings`` is 0- or 1-cell ``c``'s vector (see :meth:`vector`);
+    ``fingerprint`` names the provider."""
 
     graph: TextualGraph
     n0: int
@@ -80,8 +81,7 @@ class CellComplex:
     adj_ptr: np.ndarray
     adj_edge: np.ndarray
     adj_other: np.ndarray
-    components: tuple[tuple[int, ...], ...]
-    tree_edges: frozenset[int]
+    component: np.ndarray
     policy: SpanningTreePolicy
     embeddings: np.ndarray
     fingerprint: str = ""
@@ -123,11 +123,6 @@ class CellComplex:
     def cells(self) -> tuple[CellView, ...]:
         """Read-only ``(id, dim, boundary)`` records, for perfbench."""
         return tuple(CellView(c, self.dim(c), self.boundary(c)) for c in range(self.num_cells))
-
-    def edge_index(self, cell_id: int) -> int:
-        if not self.n0 <= cell_id < self.n0 + self.n1:
-            raise ValueError(f"cell {cell_id} is not a 1-cell")
-        return cell_id - self.n0
 
     def vector(self, cell_id: int) -> np.ndarray:
         """A 0- or 1-cell's row; a 2-cell's is computed on each read: the
@@ -242,6 +237,13 @@ def _rooted_forest(graph: TextualGraph, adj, policy: SpanningTreePolicy):
         (ecid, w) for ecid, w in adj[v] if ecid in tree])
 
 
+def _climb(table, v: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Each ``v``'s ancestor ``gap`` steps up: one row per set bit of ``gap``."""
+    for k, up in enumerate(table):
+        v = np.where(gap >> k & 1, up[v], v)
+    return v
+
+
 def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
                edge_vecs: list[np.ndarray],
                policy: SpanningTreePolicy = DFS,
@@ -268,32 +270,34 @@ def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
     n0, n1 = graph.num_nodes, graph.num_edges
     adj = _adjacency(graph)
     forest = _rooted_forest(graph, adj, policy)  # parent, parent_edge, depth, trees
-    tree, two_edge = frozenset(e - n0 for e in forest[1].values()), []
+    tree, two_edge = {e - n0 for e in forest[1].values()}, []
     for idx, edge in enumerate(graph.edges):
         if edge.src == edge.dst:
             logger.warning("self-loop edge %d excluded from 2-cell attachment", idx)
         elif idx not in tree:
             two_edge.append(n0 + idx)
+    label = {v: i for i, members in enumerate(forest[3]) for v in members}  # by root
     arrays = {name: np.array(values, dtype=np.int32) for name, values in (
         ("edge_src", [e.src for e in graph.edges]),
         ("edge_dst", [e.dst for e in graph.edges]),
         ("parent", [forest[0].get(v, -1) for v in range(n0)] + [-1]),
-        ("parent_edge", [forest[1].get(v, -1) for v in range(n0)]),
+        ("per_vertex", [[forest[1].get(v, -1) for v in range(n0)],
+                        [label[v] for v in range(n0)]]),
         ("depth", [forest[2][v] for v in range(n0)]),
         ("two_edge", two_edge),
         ("adj_edge", [e for pairs in adj for e, _ in pairs]),
         ("adj_other", [w for pairs in adj for _, w in pairs]))}
+    arrays["parent_edge"], arrays["component"] = arrays.pop("per_vertex")  # one call
     depth, table = arrays.pop("depth"), [arrays.pop("parent")]
     for _ in range(1, int(depth.max(initial=1)).bit_length()):  # >= 1 row
         table.append(table[-1][table[-1]])  # 2^(k+1) up is 2^k up, twice
     # each 2-cell's LCA by binary lifting: the deeper end (row 0 of ends)
-    # climbs the depth gap by its bits, then both ends climb each table row,
-    # top down, at which their ancestors differ, and so stop below the LCA
+    # climbs the depth gap, then both ends climb each table row, top down,
+    # at which their ancestors differ, and so stop below the LCA
     src, dst = (arrays[end][arrays["two_edge"] - n0] for end in ("edge_src", "edge_dst"))
     gap = depth[src] - depth[dst]
     ends, gap = np.where(gap >= 0, [src, dst], [dst, src]), np.abs(gap)
-    for k, up in enumerate(table):
-        ends[0] = np.where(gap >> k & 1, up[ends[0]], ends[0])
+    ends[0] = _climb(table, ends[0], gap)
     for up in table[::-1]:
         above = up[ends]
         ends = np.where(above[0] != above[1], above, ends)
@@ -305,58 +309,55 @@ def lift_graph(graph: TextualGraph, node_vecs: list[np.ndarray],
         ancestors=np.stack(table), two_lca=top,
         cycle_lengths=depth[src] + depth[dst] - 2 * depth[top] + 1,
         adj_ptr=np.cumsum([0] + [len(pairs) for pairs in adj], dtype=np.int64),
-        components=tuple(tuple(sorted(c)) for c in forest[3]), tree_edges=tree,
         policy=policy, embeddings=z, fingerprint=fingerprint)
-
-
-def betti1(graph: TextualGraph) -> int:
-    """First Betti number: independent cycles, summed per component.
-
-    Self-loops are excluded, so the value matches the number of
-    attachable 2-cells.
-    """
-    n_components = len(_rooted_forest(graph, _adjacency(graph), BFS)[3])
-    n_edges = sum(1 for e in graph.edges if e.src != e.dst)
-    return n_edges - graph.num_nodes + n_components
-
-
-def gf2_rank(rows: list[int]) -> int:
-    """Rank of bitset rows over GF(2), by incremental elimination."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            bit = row.bit_length() - 1
-            if bit not in pivots:
-                pivots[bit] = row
-                rank += 1
-                break
-            row ^= pivots[bit]
-    return rank
 
 
 @dataclass(frozen=True)
 class CycleBasisReport:
+    """``rank_gf2`` counts the 2-cells certified as distinct fundamental
+    cycles, so independent over GF(2); ``betti1``, non-loop 1-cells - n0 +
+    trees, is the cyclomatic number once the certificate holds."""
+
     rank_gf2: int
     independent: bool
     spans: bool
+    betti1: int
 
 
 def verify_cycle_basis(complex: CellComplex) -> CycleBasisReport:
-    """Certify that the attached 2-cells form a cycle-space basis.
-
-    Each 2-cell boundary becomes an edge-incidence bitvector over
-    GF(2); full rank (== number of 2-cells) certifies independence,
-    and matching the graph's cyclomatic number certifies spanning.
-    """
-    rows = []
-    for cid in complex.cell_ids(2):  # a cycle's 1-cells are distinct: set each bit
-        bits = np.zeros(complex.n1, np.uint8)
-        bits[np.subtract(complex.boundary(cid), complex.n0)] = 1
-        rows.append(int.from_bytes(np.packbits(bits, bitorder="little"), "little"))
-    rank = gf2_rank(rows)
-    return CycleBasisReport(
-        rank_gf2=rank,
-        independent=rank == complex.n2,
-        spans=rank == betti1(complex.graph),
-    )
+    """Certify from the forest's arrays, in O(n0 log depth + n1) and reading
+    no cycle, that the 2-cells are a cycle-space basis: fundamental cycles
+    of distinct non-tree 1-cells are independent, and span once they cover
+    every one (Kavitha et al., "Cycle bases in graphs", Comput. Sci. Rev.
+    2009). The checks below show the arrays are such a forest and cycles."""
+    n0, n1, table = complex.n0, complex.n1, complex.ancestors
+    src, dst, up = complex.edge_src, complex.edge_dst, complex.parent_edge
+    loop, child, parent = src == dst, np.flatnonzero(up != -1), table[0]
+    edge, top, tree = complex.two_edge - n0, complex.two_lca, up[child] - n0
+    betti1 = n1 - int(loop.sum()) - len(child)  # each non-root has a tree 1-cell
+    if not (  # ids in range first, so the checks after them index safely
+            table.shape[1] == n0 + 1 and ((table >= -1) & (table < n0)).all()
+            and (table[:, n0] == -1).all() and ((tree >= 0) & (tree < n1)).all()
+            and ((edge >= 0) & (edge < n1)).all() and ((top >= 0) & (top < n0)).all()
+            and np.array_equal(parent[:n0] == -1, up == -1)  # roots: -1 in both
+            and np.array_equal(np.sort([src[tree], dst[tree]], axis=0),  # child-parent
+                               np.sort([child, parent[child]], axis=0))
+            # each row the one below squared, the top one squared all -1: no loops
+            and np.array_equal(np.take_along_axis(table[:-1], table[:-1], axis=1),
+                               table[1:])
+            and (table[-1][table[-1]] == -1).all()):
+        return CycleBasisReport(0, False, False, betti1)
+    depth = np.append(np.ones(n0, int), 0)  # depth + 1: the vertices on a root path
+    for row in table:
+        depth = depth + depth[row]
+    ends = np.array([src[edge], dst[edge]])
+    gaps = depth[ends] - depth[top]
+    below = _climb(table, ends, np.maximum(gaps - 1, 0))  # a step short of top
+    roles = loop + np.bincount(tree, minlength=n1) + np.bincount(edge, minlength=n1)
+    certified = ((roles[edge] == 1)  # neither a tree 1-cell, a loop nor shared
+                 & (np.where(gaps > 0, parent[below], ends) == top).all(axis=0)
+                 & ((gaps == 0).any(axis=0) | (below[0] != below[1]))  # lowest
+                 & (complex.cycle_lengths == gaps.sum(axis=0) + 1))
+    independent = bool(certified.all())
+    return CycleBasisReport(int(certified.sum()), independent,
+                            independent and bool((roles == 1).all()), betti1)

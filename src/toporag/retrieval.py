@@ -243,7 +243,7 @@ def _make_subcomplex(complex: CellComplex, assignment: PrizeAssignment,
 _EPS = 1e-12
 
 
-def _gw_pcst(vertices: tuple[int, ...],
+def _gw_pcst(vertices: list[int],
              edges: list[tuple[int, int, int, float]],
              node_prize: dict[int, float]) -> tuple[set[int], set[int]]:
     """Unrooted prize-collecting Steiner approximation.
@@ -325,7 +325,7 @@ def _gw_pcst(vertices: tuple[int, ...],
     return _best_pruned_tree(vertices, forest_edges, node_prize)
 
 
-def _best_pruned_tree(vertices: tuple[int, ...],
+def _best_pruned_tree(vertices: list[int],
                       forest_edges: list[tuple[int, int, int, float]],
                       node_prize: dict[int, float]) -> tuple[set[int], set[int]]:
     """Strong-prune the GW forest; return the best tree's cells.
@@ -436,14 +436,11 @@ def _connector_path(complex: CellComplex, selected: frozenset[int],
 
 
 def _solve_component(complex: CellComplex, assignment: PrizeAssignment,
-                     component_vertices: tuple[int, ...],
-                     selected2: list[int]) -> frozenset[int]:
-    """Phase a+b of the solver for one graph component."""
-    vset, ranked1, n0 = set(component_vertices), assignment.ranked1_ids, complex.n0
-    vertices, src, dst = list(component_vertices), complex.edge_src, complex.edge_dst
-    node_prize = dict(zip(vertices, assignment.prize[vertices].tolist()))
-    inside = np.zeros(n0, bool)
-    inside[vertices] = True
+                     label: int, selected2: list[int]) -> frozenset[int]:
+    """Phase a+b of the solver for the graph component ``label``."""
+    inside, ranked1, n0 = complex.component == label, assignment.ranked1_ids, complex.n0
+    vertices, src, dst = np.flatnonzero(inside).tolist(), complex.edge_src, complex.edge_dst
+    vset, node_prize = set(vertices), dict(zip(vertices, assignment.prize[vertices].tolist()))
     ids = np.flatnonzero(inside[src] & (src != dst))  # its non-loop 1-cells
     edges = []
     for cid, u, v in zip((ids + n0).tolist(), src[ids].tolist(), dst[ids].tolist()):
@@ -454,7 +451,7 @@ def _solve_component(complex: CellComplex, assignment: PrizeAssignment,
             node_prize[v] += half
         edges.append((cid, u, v, 0.0 if ranked else assignment.c_edge))
 
-    gw_vertices, gw_edges = _gw_pcst(component_vertices, edges, node_prize)
+    gw_vertices, gw_edges = _gw_pcst(vertices, edges, node_prize)
     base = set(gw_vertices) | set(gw_edges)
     # ranked 1-cells with both endpoints already selected are free prize
     for cid in sorted(ranked1):
@@ -521,10 +518,11 @@ def solve_subcomplex(complex: CellComplex, assignment: PrizeAssignment,
     degenerate single-cell subcomplex, or :class:`EmptyCandidates` is
     raised when none is supplied.
     """
-    seeds = {r.cell_id for r in assignment.ranked0 if r.prize > 0}
-    seeds.update(complex.boundary(r.cell_id)[0]
-                 for r in assignment.ranked1 if r.prize > 0)
-    seeds.update(complex.cycle_vertices(cid)[0] for cid in selected2)
+    n0, n01, src = complex.n0, complex.n0 + complex.n1, complex.edge_src
+    seeds = [r.cell_id for r in assignment.ranked0 if r.prize > 0]
+    seeds += [src.item(r.cell_id - n0) for r in assignment.ranked1 if r.prize > 0]
+    # a 2-cell's cycle lies in one component: read its non-tree 1-cell's end
+    seeds += [src.item(complex.two_edge.item(cid - n01) - n0) for cid in selected2]
 
     if not seeds:
         if fallback is None:
@@ -533,8 +531,8 @@ def solve_subcomplex(complex: CellComplex, assignment: PrizeAssignment,
                                 [frozenset([fallback[0]])], degenerate=True)
 
     selections = [
-        _solve_component(complex, assignment, comp, selected2)
-        for comp in complex.components if not seeds.isdisjoint(comp)
+        _solve_component(complex, assignment, label, selected2)
+        for label in sorted({complex.component.item(v) for v in seeds})
     ]
     return _make_subcomplex(complex, assignment, selections)
 

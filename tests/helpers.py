@@ -71,6 +71,11 @@ def messy_graph(rng):
     return make_graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
+def tree_edges(cx):
+    """Edge indices of the complex's spanning forest, from ``parent_edge``."""
+    return frozenset((cx.parent_edge[cx.parent_edge >= 0] - cx.n0).tolist())
+
+
 def lift(graph, dim=16, seed=7, policy=DFS):
     provider = DeterministicProvider(dim=dim, seed=seed)
     node_vecs = embed_texts([n.text for n in graph.nodes], provider)

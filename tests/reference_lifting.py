@@ -1,10 +1,14 @@
 """Second implementation of the lift's spanning forest, components,
-fundamental cycles and 2-cell embeddings, for tests to compare against.
+fundamental cycles, 2-cell embeddings and cycle-space rank, for tests to
+compare against.
 
 Shares no code with :mod:`toporag.lifting`: a recursive DFS and a deque
 BFS from any roots, Kruskal and the component lists over relabelled
 classes, a tree path found by a fresh search over the given tree edges,
-and a cycle mean summed one row at a time.
+a cycle mean summed one row at a time, and the rank of the 2-cells'
+boundaries by elimination over GF(2), which
+:func:`toporag.lifting.verify_cycle_basis` certifies without reading a
+cycle.
 """
 
 import random
@@ -141,3 +145,46 @@ def cycle_embedding(cycle, z0, z1):
     for row in rows:
         total += row
     return (total / len(rows)).astype(np.float32)
+
+
+def betti1(graph):
+    """First Betti number: non-loop edges - vertices + components, so it
+    counts the 2-cells a lift attaches."""
+    non_loop = sum(1 for e in graph.edges if e.src != e.dst)
+    return non_loop - graph.num_nodes + len(components(graph))
+
+
+def gf2_rank(rows):
+    """Rank of bitset rows over GF(2), by incremental elimination."""
+    pivots = {}
+    rank = 0
+    for row in rows:
+        while row:
+            bit = row.bit_length() - 1
+            if bit not in pivots:
+                pivots[bit] = row
+                rank += 1
+                break
+            row ^= pivots[bit]
+    return rank
+
+
+def boundary_rows(cx):
+    """Each 2-cell's boundary, as ``cx.boundary`` reads it, as a GF(2) bitset
+    row: bit ``i`` set when 1-cell ``n0 + i`` occurs an odd number of times."""
+    rows = []
+    for cid in cx.cell_ids(2):
+        edges = np.subtract(cx.boundary(cid), cx.n0)
+        bits = np.bincount(edges, minlength=cx.n1).astype(np.uint8) & 1
+        rows.append(int.from_bytes(np.packbits(bits, bitorder="little"), "little"))
+    return rows
+
+
+def is_cycle(graph, row):
+    """Whether the edge set of bitset ``row`` lies in the cycle space: every
+    vertex meets its edges an even number of times."""
+    odd = 0
+    for idx, e in enumerate(graph.edges):
+        if row >> idx & 1:
+            odd ^= (1 << e.src) ^ (1 << e.dst)
+    return odd == 0

@@ -24,8 +24,8 @@ from toporag.embedding import DeterministicProvider, cosine
 from toporag.evaluation import evaluate, sweep_k2
 from toporag.generation import mock_llm, textualize
 from toporag.graph_io import load_qa_fixture, save_graph
-from toporag.lifting import (BFS, DFS, SpanningTreePolicy, betti1,
-                             lift_graph, verify_cycle_basis)
+from toporag.lifting import (BFS, DFS, SpanningTreePolicy, lift_graph,
+                             verify_cycle_basis)
 from toporag.pipeline import retrieve_for_question
 from toporag.reasoning import ReasoningConfig, ReasoningWeights, forward, pool
 from toporag.retrieval import (PRIZE_INDEXING, assign_prizes, is_feasible,
@@ -34,7 +34,8 @@ from toporag.retrieval import (PRIZE_INDEXING, assign_prizes, is_feasible,
 from toporag.service import make_server
 
 import reference_lifting as ref
-from helpers import FIXTURES, lift, make_graph, random_connected_graph
+from helpers import (FIXTURES, lift, make_graph, random_connected_graph,
+                     tree_edges)
 from reference_pcst import brute_force_subcomplex
 from reference_reasoning import naive_forward
 
@@ -59,13 +60,13 @@ def test_c01_homology_counting():
     for n, m in sizes:
         g = random_connected_graph(rng, n, m)
         expected = g.num_edges - g.num_nodes + 1
-        assert betti1(g) == expected
         node_vecs, edge_vecs = [zero] * g.num_nodes, [zero] * g.num_edges
         for policy in POLICIES:
             cx = lift_graph(g, node_vecs, edge_vecs, policy=policy)
             assert cx.n2 == expected
             rep = verify_cycle_basis(cx)
-            assert rep.rank_gf2 == cx.n2
+            assert rep.betti1 == expected
+            assert ref.gf2_rank(ref.boundary_rows(cx)) == rep.rank_gf2 == cx.n2
             assert rep.independent and rep.spans
     report(1, "homology counting over 200 random graphs x 3 policies", 30,
            started, detail=f"{len(sizes)} graphs")
@@ -84,8 +85,9 @@ def test_c02_spanning_tree_structural_invariance():
         for policy in POLICIES:
             cx = lift_graph(g, node_vecs, edge_vecs, policy=policy)
             rep = verify_cycle_basis(cx)
-            forest_sizes = sorted(len(c) for c in cx.components)
-            results.append((cx.n2, rep.rank_gf2, forest_sizes))
+            forest_sizes = sorted(np.bincount(cx.component).tolist())
+            rank = ref.gf2_rank(ref.boundary_rows(cx))
+            results.append((cx.n2, rep.rank_gf2, rank, forest_sizes))
         assert results[0] == results[1] == results[2]
     report(2, "per-graph |X2| and GF(2) rank invariant across policies", 10,
            started)
@@ -153,7 +155,7 @@ def test_c04_prize_formula_exactness_and_monotonicity():
         for cid in cx.cell_ids(2):
             # the cycle's vertices as the reference lift finds them
             vertices, _ = ref.fundamental_cycle(
-                g, cx.edge_index(cx.boundary(cid)[-1]), cx.tree_edges)
+                g, cx.boundary(cid)[-1] - cx.n0, tree_edges(cx))
             boundary_prize = 0.0
             for v in vertices[:-1]:
                 boundary_prize += direct.get(v, 0.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -5,12 +6,13 @@ import numpy as np
 import pytest
 
 from toporag.embedding import DeterministicProvider, embed_texts
-from toporag.lifting import (BFS, DFS, SpanningTreePolicy, betti1, gf2_rank,
-                             grow_forest, lift_graph, verify_cycle_basis)
+from toporag.lifting import (BFS, DFS, SpanningTreePolicy, grow_forest,
+                             lift_graph, verify_cycle_basis)
 
 import reference_lifting as ref
 from helpers import (k4, lift, make_graph, messy_graph, path3,
-                     random_connected_graph, triangle, two_triangles)
+                     random_connected_graph, tree_edges, triangle,
+                     two_triangles)
 from reference_reasoning import cofaces, upper_adjacent
 
 POLICIES = [DFS, BFS, SpanningTreePolicy("random", seed=11)]
@@ -29,7 +31,7 @@ def cycles_of(cx):
     for cid in cx.cell_ids(2):
         walk = cx.cycle_vertices(cid)
         cycles.append((walk + walk[:1],
-                       [cx.edge_index(e) for e in cx.boundary(cid)]))
+                       [e - cx.n0 for e in cx.boundary(cid)]))
     return cycles
 
 
@@ -103,18 +105,18 @@ def test_coboundary_is_transpose_of_boundary():
 def test_tree_input_uses_all_edges():
     g = make_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
     for policy in POLICIES:
-        assert bare_lift(g, policy).tree_edges == {0, 1, 2, 3}
+        assert tree_edges(bare_lift(g, policy)) == {0, 1, 2, 3}
 
 
 def test_triangle_dfs_tree_size():
-    t = bare_lift(triangle(), DFS).tree_edges
+    t = tree_edges(bare_lift(triangle(), DFS))
     assert len(t) == 2
 
 
 def test_two_disjoint_triangles_forest():
     g = two_triangles()
     for policy in POLICIES:
-        t = bare_lift(g, policy).tree_edges
+        t = tree_edges(bare_lift(g, policy))
         # per-component formula: sum over components of |V_c| - 1
         assert len(t) == sum(len(c) - 1 for c in ref.components(g))
         assert len(t) == 4
@@ -124,16 +126,16 @@ def test_spanning_tree_deterministic():
     rng = random.Random(5)
     g = random_connected_graph(rng, 30, 70)
     for policy in POLICIES:
-        assert bare_lift(g, policy).tree_edges == \
-            bare_lift(g, policy).tree_edges
+        assert tree_edges(bare_lift(g, policy)) == \
+            tree_edges(bare_lift(g, policy))
 
 
 def test_random_policy_reproducible_from_seed():
     rng = random.Random(6)
     g = random_connected_graph(rng, 30, 70)
-    a = bare_lift(g, SpanningTreePolicy("random", seed=9)).tree_edges
-    b = bare_lift(g, SpanningTreePolicy("random", seed=9)).tree_edges
-    c = bare_lift(g, SpanningTreePolicy("random", seed=10)).tree_edges
+    a = tree_edges(bare_lift(g, SpanningTreePolicy("random", seed=9)))
+    b = tree_edges(bare_lift(g, SpanningTreePolicy("random", seed=9)))
+    c = tree_edges(bare_lift(g, SpanningTreePolicy("random", seed=10)))
     assert a == b
     assert a != c or len(g.edges) == len(a)
 
@@ -143,20 +145,20 @@ def test_forest_is_acyclic():
     for _ in range(10):
         g = random_connected_graph(rng, 20, 45)
         for policy in POLICIES:
-            t = bare_lift(g, policy).tree_edges
+            t = tree_edges(bare_lift(g, policy))
             rows = []
             for idx in t:
                 e = g.edges[idx]
                 rows.append((1 << e.src) | (1 << e.dst))
             # acyclic iff the edge incidence vectors are GF(2)-independent
-            assert gf2_rank(rows) == len(t)
+            assert ref.gf2_rank(rows) == len(t)
 
 
 # --- fundamental cycles ---
 
 def test_triangle_fundamental_cycle():
     cx = bare_lift(triangle(), BFS)
-    assert cx.tree_edges == {0, 1}  # (0,1) and (0,2)
+    assert tree_edges(cx) == {0, 1}  # (0,1) and (0,2)
     [(vertices, edges)] = cycles_of(cx)
     assert vertices == [1, 0, 2, 1]
     assert len(edges) == 3
@@ -165,7 +167,7 @@ def test_triangle_fundamental_cycle():
 
 def test_k4_star_tree_cycles_have_length_three():
     cx = bare_lift(k4(), BFS)
-    assert cx.tree_edges == {0, 1, 2}  # the star (0,1),(0,2),(0,3)
+    assert tree_edges(cx) == {0, 1, 2}  # the star (0,1),(0,2),(0,3)
     cycles = cycles_of(cx)
     assert [edges[-1] for _, edges in cycles] == [3, 4, 5]
     for vertices, edges in cycles:
@@ -178,7 +180,7 @@ def test_cycle_even_degree_parity():
     for _ in range(20):
         g = random_connected_graph(rng, 15, 35)
         cx = bare_lift(g, DFS)
-        assert cx.n2 == g.num_edges - len(cx.tree_edges)
+        assert cx.n2 == g.num_edges - len(tree_edges(cx))
         for vertices, edges in cycles_of(cx):
             # parity oracle: every vertex is incident to an even number
             # of cycle edges
@@ -196,10 +198,10 @@ def test_cycle_even_degree_parity():
 def test_self_loop_rejected():
     g = make_graph(2, [(0, 1), (1, 1)])
     cx = bare_lift(g, DFS)
-    assert cx.tree_edges == {0}
+    assert tree_edges(cx) == {0}
     assert cx.n2 == 0
     with pytest.raises(ValueError):
-        ref.fundamental_cycle(g, 1, cx.tree_edges)
+        ref.fundamental_cycle(g, 1, tree_edges(cx))
 
 
 # --- 2-cell attachment ---
@@ -213,7 +215,7 @@ def test_triangle_single_two_cell():
 def test_k4_three_two_cells():
     cx = lift(k4())
     assert cx.n2 == 3
-    assert betti1(k4()) == 3
+    assert ref.betti1(k4()) == 3
 
 
 def test_scene_loop_two_cell_has_four_edges():
@@ -232,7 +234,7 @@ def test_parallel_edge_makes_two_gon():
     cid = cx.cell_ids(2)[0]
     assert len(cx.boundary(cid)) == 2
     assert cx.cycle_vertices(cid) == [0, 1]
-    assert cycles_of(cx) == [ref.fundamental_cycle(g, 1, cx.tree_edges)]
+    assert cycles_of(cx) == [ref.fundamental_cycle(g, 1, tree_edges(cx))]
 
 
 def test_self_loop_skipped_with_warning(caplog):
@@ -260,7 +262,7 @@ def test_two_cell_walks_are_closed():
                 endpoints = set(cx.boundary(ecid))
                 assert endpoints == {v, w} or (v == w and endpoints == {v})
             vertices, _ = ref.fundamental_cycle(
-                g, cx.edge_index(boundary[-1]), cx.tree_edges)
+                g, boundary[-1] - cx.n0, tree_edges(cx))
             assert walk == vertices[:-1]
 
 
@@ -283,8 +285,8 @@ def test_every_nontree_nonloop_edge_in_exactly_one_two_cell():
     for cid in cx.cell_ids(2):
         non_tree = cx.boundary(cid)[-1]
         count[non_tree] = count.get(non_tree, 0) + 1
-    non_tree_edges = [cx.n0 + i for i in range(g.num_edges)
-                      if i not in cx.tree_edges]
+    tree = tree_edges(cx)
+    non_tree_edges = [cx.n0 + i for i in range(g.num_edges) if i not in tree]
     assert sorted(count) == sorted(non_tree_edges)
     assert all(v == 1 for v in count.values())
 
@@ -335,7 +337,7 @@ def test_lift_stores_no_two_cell_rows():
 # the accessors refuse each id below on the triangle (n0 = n1 = 3, n2 = 1):
 # -1, one past the end, and a cell of the wrong dimension
 BAD_IDS = {"dim": (-1, 7), "boundary": (-1, 7), "vector": (-1, 7),
-           "neighbors": (-1, 3, 6), "edge_index": (-1, 6, 0),
+           "neighbors": (-1, 3, 6),
            "cycle_vertices": (-1, 7, 0, 3)}
 
 
@@ -354,14 +356,18 @@ def test_lift_rooting_matches_public_tree_and_cycles():
         g = messy_graph(rng)
         for policy in (DFS, BFS, SpanningTreePolicy("random", seed=trial)):
             cx = bare_lift(g, policy)
-            assert cx.tree_edges == ref.spanning_tree(g, policy)
-            assert cx.components == tuple(map(tuple, ref.components(g)))
+            tree = tree_edges(cx)
+            assert tree == ref.spanning_tree(g, policy)
+            assert cx.component.dtype == np.int32
+            assert [np.flatnonzero(cx.component == label).tolist()
+                    for label in range(cx.component.max(initial=-1) + 1)] == \
+                ref.components(g)
             # the reference finds each tree path by its own search
-            expected = [ref.fundamental_cycle(g, idx, cx.tree_edges)
+            expected = [ref.fundamental_cycle(g, idx, tree)
                         for idx, e in enumerate(g.edges)
-                        if idx not in cx.tree_edges and e.src != e.dst]
+                        if idx not in tree and e.src != e.dst]
             assert cycles_of(cx) == expected
-            assert [[cx.edge_index(e) for e in cx.boundary(cid)]
+            assert [[e - cx.n0 for e in cx.boundary(cid)]
                     for cid in cx.cell_ids(2)] == [e for _, e in expected]
 
 
@@ -375,9 +381,10 @@ def test_accessors_match_reference_lift():
         for policy in (DFS, BFS, SpanningTreePolicy("random", seed=trial)):
             cx = bare_lift(g, policy)
             n0, n1 = g.num_nodes, g.num_edges
-            cycles = [ref.fundamental_cycle(g, idx, cx.tree_edges)
+            tree = tree_edges(cx)
+            cycles = [ref.fundamental_cycle(g, idx, tree)
                       for idx, e in enumerate(g.edges)
-                      if idx not in cx.tree_edges and e.src != e.dst]
+                      if idx not in tree and e.src != e.dst]
             assert [cx.dim(c) for c in range(cx.num_cells)] == \
                 [0] * n0 + [1] * n1 + [2] * len(cycles)
             for bad in (-1, cx.num_cells):
@@ -568,16 +575,20 @@ def test_two_cell_embeddings_equal_reference_mean_on_ladder():
 # --- homology counting ---
 
 def test_betti1_examples():
-    assert betti1(path3()) == 0
-    assert betti1(triangle()) == 1
-    assert betti1(k4()) == 3
-    assert betti1(two_triangles()) == 2
+    assert ref.betti1(path3()) == 0
+    assert ref.betti1(triangle()) == 1
+    assert ref.betti1(k4()) == 3
+    assert ref.betti1(two_triangles()) == 2
+    for g in (path3(), triangle(), k4(), two_triangles()):
+        assert verify_cycle_basis(lift(g)).betti1 == ref.betti1(g)
 
 
 def test_betti1_self_loops():
     g = make_graph(2, [(0, 1), (1, 1)])
-    assert betti1(g) == 0
-    assert betti1(make_graph(1, [(0, 0), (0, 0)])) == 0
+    assert ref.betti1(g) == 0
+    assert ref.betti1(make_graph(1, [(0, 0), (0, 0)])) == 0
+    for g in (g, make_graph(1, [(0, 0), (0, 0)])):
+        assert verify_cycle_basis(lift(g)).betti1 == 0
 
 
 def test_two_cell_count_equals_betti1_every_policy():
@@ -586,7 +597,7 @@ def test_two_cell_count_equals_betti1_every_policy():
         g = random_connected_graph(rng, 25, 60)
         for policy in POLICIES:
             cx = lift(g, policy=policy)
-            assert cx.n2 == betti1(g)
+            assert cx.n2 == ref.betti1(g) == verify_cycle_basis(cx).betti1
 
 
 def test_verify_cycle_basis_triangle_and_k4():
@@ -606,7 +617,7 @@ def test_rank_matches_numpy_oracle_across_policies():
             cx = lift(g, policy=policy)
             report = verify_cycle_basis(cx)
             rows = [
-                {cx.edge_index(e) for e in cx.boundary(cid)}
+                {e - cx.n0 for e in cx.boundary(cid)}
                 for cid in cx.cell_ids(2)
             ]
             assert report.rank_gf2 == numpy_gf2_rank(rows, g.num_edges)
@@ -621,3 +632,102 @@ def test_disconnected_graph_lifts_per_component():
     report = verify_cycle_basis(cx)
     assert report.rank_gf2 == 2
     assert report.spans
+
+
+def test_certificate_agrees_with_gf2_rank_of_read_boundaries():
+    """Differential: the certificate reads no cycle; the reference checks
+    that the boundaries ``boundary()`` builds are cycles and ranks them over
+    GF(2). Self-loops, parallel edges and several components, every policy.
+    The rank alone would miss a boundary that lost a tree 1-cell: each row
+    keeps its own non-tree 1-cell."""
+    rng = random.Random(41)
+    for trial in range(100):
+        g = messy_graph(rng)
+        for policy in (DFS, BFS, SpanningTreePolicy("random", seed=trial)):
+            cx = bare_lift(g, policy)
+            report = verify_cycle_basis(cx)
+            rows = ref.boundary_rows(cx)
+            assert all(ref.is_cycle(g, row) for row in rows)
+            rank = ref.gf2_rank(rows)
+            assert (report.rank_gf2, report.betti1) == (rank, ref.betti1(g))
+            assert report.independent == (rank == cx.n2)
+            assert report.spans == (rank == ref.betti1(g))
+            assert report.independent and report.spans
+
+
+def with_parent(cx, parent, parent_edge, n2=None):
+    """``cx`` with another forest, its table squared up from ``parent`` to
+    as many rows as before, keeping only the first ``n2`` 2-cells."""
+    table = [np.append(parent, -1).astype(np.int32)]
+    for _ in range(len(cx.ancestors) - 1):
+        table.append(table[-1][table[-1]])
+    n2 = cx.n2 if n2 is None else n2
+    return dataclasses.replace(
+        cx, ancestors=np.stack(table),
+        parent_edge=np.array(parent_edge, np.int32), n2=n2,
+        two_edge=cx.two_edge[:n2], two_lca=cx.two_lca[:n2],
+        cycle_lengths=cx.cycle_lengths[:n2])
+
+
+def mutated(cx, kind):
+    """``cx``, the DFS lift of MUTATION_GRAPH, with one certificate condition
+    broken so that every other condition still holds."""
+    parent, up = cx.ancestors[0, :cx.n0].tolist(), cx.parent_edge.tolist()
+    lca, lengths = cx.two_lca.copy(), cx.cycle_lengths.copy()
+    if kind == "lca":  # chord (1,3) meets at 1; 0 is a common ancestor too
+        lca[1], lengths[1] = 0, 5
+        return dataclasses.replace(cx, two_lca=lca, cycle_lengths=lengths)
+    if kind == "shared_two_edge":  # 2-cell 1 claims chord (2,4), as 2-cell 2 does
+        edge, lca[1] = cx.two_edge.copy(), 2
+        edge[1] = 14
+        return dataclasses.replace(cx, two_edge=edge, two_lca=lca)
+    if kind == "length":
+        lengths[1] += 1
+        return dataclasses.replace(cx, cycle_lengths=lengths)
+    if kind == "parent_edge":  # 2's and 3's tree 1-cells swapped
+        return with_parent(cx, parent, up[:2] + [up[3], up[2]] + up[4:])
+    if kind == "root":  # 3 keeps its parent but loses its tree 1-cell
+        return with_parent(cx, parent, up[:3] + [-1] + up[4:])
+    if kind == "lca_above_roots":  # 3 made a root: 1-cells 10, 12, 13 and 14
+        # join two trees, and each closes a 2-cell whose ends "meet" at -1
+        split = with_parent(cx, parent[:3] + [-1] + parent[4:],
+                            up[:3] + [-1] + up[4:])
+        return dataclasses.replace(
+            split, n2=6, two_edge=np.array([12, 13, 14, 15, 18, 10], np.int32),
+            two_lca=np.array([-1, -1, -1, 0, 5, -1], np.int32),
+            cycle_lengths=np.array([4, 4, 6, 3, 3, 5], np.int32))
+    # the triangle's root hangs below 7 by its chord, which closes no 2-cell
+    looped = with_parent(cx, parent[:5] + [7] + parent[6:],
+                         up[:5] + [18] + up[6:], n2=4)
+    if kind == "parent_cycle":
+        return looped
+    assert kind == "not_squared"  # rows above 0 say the loop ends at once
+    table = looped.ancestors.copy()
+    table[1:, 5:8] = -1
+    return dataclasses.replace(looped, ancestors=table)
+
+
+# a path 0-1-2-3-4 with chords (0,4), (1,3), (2,4), (0,2), beside the
+# triangle 5-6-7: 1-cells 8..11 the path, 12..15 the chords, 16 and 17 the
+# triangle's tree 1-cells, 18 its chord; 2-cells close 12, 13, 14, 15, 18
+MUTATION_GRAPH = make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3),
+                                (2, 4), (0, 2), (5, 6), (6, 7), (5, 7)])
+
+
+@pytest.mark.parametrize("kind", ["lca", "shared_two_edge", "length",
+                                  "parent_edge", "root", "lca_above_roots",
+                                  "parent_cycle", "not_squared"])
+def test_certificate_refuses_each_broken_condition(kind):
+    """Each mutation breaks one condition and keeps the others: with that
+    one check taken out, the certificate would accept it."""
+    cx = bare_lift(MUTATION_GRAPH, DFS)
+    assert cx.parent_edge.tolist() == [-1, 8, 9, 10, 11, -1, 16, 17]
+    assert cx.two_edge.tolist() == [12, 13, 14, 15, 18]
+    assert cx.two_lca.tolist() == [0, 1, 2, 0, 5]
+    sound = verify_cycle_basis(
+        with_parent(cx, cx.ancestors[0, :8], cx.parent_edge))
+    assert sound.independent and sound.spans and sound.rank_gf2 == 5
+    broken = mutated(cx, kind)
+    report = verify_cycle_basis(broken)
+    assert not report.independent and not report.spans
+    assert report.rank_gf2 < broken.n2
