@@ -17,7 +17,7 @@ from .generation import (DEFAULT_MAX_INPUT_TOKENS, DEFAULT_MAX_NEW_TOKENS,
                          DEFAULT_PREAMBLE, MockLlmClient)
 from .lifting import SpanningTreePolicy
 from .reasoning import ReasoningConfig
-from .retrieval import PRIZE_INDEXING
+from .retrieval import MAX_RANKED, PRIZE_INDEXING
 
 VALID_K2 = (0, 1, 2, 3)
 
@@ -64,6 +64,10 @@ class PipelineConfig:
                   ValidationError)
         if self.k0 < 0 or self.k1 < 0:
             raise ValidationError("k0 and k1 must be non-negative")
+        if self.k0 + self.k1 > MAX_RANKED:
+            raise ValidationError(
+                f"k0 + k1 must be at most {MAX_RANKED}: retrieval's exact "
+                "search grows as 3^(k0 + k1)")
         if self.k2 not in VALID_K2:
             raise ValidationError(f"k2 must be in {VALID_K2}")
         if self.c2 < 0 or self.c_edge < 0:

@@ -147,10 +147,18 @@ class CellComplex:
         walk, path, (parent, parent_edge) = ([], []), ([], []), self._forest_lists
         for side, v in enumerate(sorted(self.boundary(edge))):
             while v != top:
+                if v < 0:
+                    raise ValueError(f"2-cell {cell_id}: its LCA {top} is not "
+                                     f"on both root paths of 1-cell {edge}")
                 walk[side].append(v)
                 path[side].append(parent_edge[v])
                 v = parent[v]
         return walk[0] + [top] + walk[1][::-1], path[0] + path[1][::-1] + [edge]
+
+    @cached_property
+    def adj_owner(self) -> np.ndarray:
+        """Each adjacency entry's vertex: ``v`` over ``adj_ptr[v]:adj_ptr[v + 1]``."""
+        return np.repeat(np.arange(self.n0), np.diff(self.adj_ptr))
 
     @cached_property
     def _forest_lists(self) -> tuple[list[int], list[int]]:

@@ -3,10 +3,20 @@
 Given a query embedding, the top-k 0- and 1-cells by cosine similarity
 receive descending prizes; 2-cell prizes are induced from their
 boundary prizes minus a size cost. A connected, boundary-consistent
-subcomplex maximizing total prize minus size cost is then extracted:
-a Goemans-Williamson-style prize-collecting Steiner approximation over
-the 1-skeleton, followed by staged addition of positive-prize 2-cells
-with exact marginal-objective acceptance.
+subcomplex maximizing total prize minus size cost is then extracted,
+per graph component, in two steps:
+
+1. The best 1-skeleton selection, exactly. Only ranked cells carry
+   prizes, so the terminals are the ranked 0-cells and both ends of each
+   ranked 1-cell. A ranked 1-cell costs nothing, so terminals it joins
+   form one group, taken whole: at most k0 + k1 groups. A Dreyfus-Wagner
+   search (Dreyfus & Wagner, Networks 1971) over the group subsets, with
+   hop counts from breadth-first search over the adjacency CSR, keeps the
+   subset of best prize minus ``c_edge`` times hops. It takes about
+   3^g |V| + 2^g |E| steps for g groups, so ``PipelineConfig`` refuses
+   k0 + k1 above ``MAX_RANKED``.
+2. The top-k2 positive-prize 2-cells, staged in with exact
+   marginal-objective acceptance.
 
 The objective of a selection ``S`` is::
 
@@ -14,7 +24,8 @@ The objective of a selection ``S`` is::
       - c_edge * #(selected 1-cells outside the ranked top-k)
       - sum(cost(x2) for selected 2-cells)
 
-with ``cost(x2) = |boundary edges| * C2``.
+with ``cost(x2) = |boundary edges| * C2``. A 2-cell's size is charged
+twice: once in its induced prize and once in ``cost(x2)``.
 """
 
 from __future__ import annotations
@@ -238,155 +249,151 @@ def _make_subcomplex(complex: CellComplex, assignment: PrizeAssignment,
     )
 
 
-# --- Goemans-Williamson-style moat growing over the 1-skeleton ---
+# --- exact Steiner search over terminal groups ---
 
-_EPS = 1e-12
+MAX_RANKED = 12  # the largest k0 + k1 accepted: the search grows as 3^(k0 + k1)
 
 
-def _gw_pcst(vertices: list[int],
-             edges: list[tuple[int, int, int, float]],
-             node_prize: dict[int, float]) -> tuple[set[int], set[int]]:
-    """Unrooted prize-collecting Steiner approximation.
+def _component_entries(complex: CellComplex, label: int):
+    """Component ``label``'s sorted vertices, and per adjacency entry of
+    one of them: that vertex and the other end, as positions among the
+    vertices, and the 1-cell."""
+    vertices = np.flatnonzero(complex.component == label)
+    owner, other, edge = complex.adj_owner, complex.adj_other, complex.adj_edge
+    if len(vertices) < complex.n0:
+        keep = np.flatnonzero(complex.component[owner] == label)
+        owner, other, edge = (np.searchsorted(vertices, owner[keep]),
+                              np.searchsorted(vertices, other[keep]), edge[keep])
+    return vertices, owner, other, edge
 
-    ``edges`` are (edge_cell_id, u, v, cost). Grows uniform moats
-    around active clusters, merging on tight edges and deactivating
-    exhausted clusters, then strong-prunes every forest tree and
-    returns the best (vertex set, edge cell id set) by pruned value.
 
-    Only edges incident to an active cluster can fire, so event scans
-    are restricted to those; the result is identical to a full scan.
+def _terminal_groups(complex: CellComplex, assignment: PrizeAssignment,
+                     label: int) -> list[tuple[list[int], frozenset[int], float]]:
+    """The component's ranked cells, grouped where a ranked 1-cell joins
+    their ends: per group, by least vertex, its vertices, its cells
+    (those vertices and its ranked 1-cells) and its summed prize."""
+    root: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while root.setdefault(v, v) != v:
+            v = root[v]
+        return v
+
+    ranked = []
+    for r in assignment.ranked0 + assignment.ranked1:
+        ends = complex.boundary(r.cell_id) or (r.cell_id,)
+        if complex.component.item(ends[0]) == label:
+            ranked.append((r, ends))
+            root[find(ends[0])] = find(ends[-1])
+    members: dict[int, list] = {}
+    for r, ends in ranked:
+        members.setdefault(find(ends[0]), []).append((r, ends))
+    groups = []
+    for rs in members.values():
+        vertices = sorted({v for _, ends in rs for v in ends})
+        groups.append((vertices, frozenset(vertices).union(r.cell_id for r, _ in rs),
+                       sum(r.prize for r, _ in rs)))
+    return sorted(groups)
+
+
+def _splits(mask: int):
+    """The proper submasks of ``mask`` that hold its lowest bit: each
+    split of ``mask`` into two nonempty parts, once."""
+    low = mask & -mask
+    rest = sub = mask ^ low
+    while sub:
+        sub = (sub - 1) & rest
+        yield low | sub
+
+
+def _best_tree(complex: CellComplex, assignment: PrizeAssignment,
+               label: int) -> frozenset[int]:
+    """The best connected 1-skeleton selection in component ``label``.
+
+    Each terminal group is one node, its least vertex, so every 1-cell
+    left between nodes is unranked and costs one hop. ``hops[S][v]`` is
+    the fewest hops of a tree joining the groups in S and node v
+    (Dreyfus-Wagner): a group's row is its BFS distance; a larger S's is
+    its best split at v, then spread out one level at a time. Rows stop
+    at ``cap``: a tree of more hops loses to the best group alone. The S
+    kept has the best ``prize(S) - c_edge * min(hops[S])``, then the
+    fewest cells, then the least sorted cells; its cells are read back
+    from the rows' splits and one-hop steps.
     """
-    cluster_of = {v: i for i, v in enumerate(vertices)}
-    members: dict[int, list[int]] = {i: [v] for i, v in enumerate(vertices)}
-    prize_sum = {i: node_prize.get(v, 0.0) for i, v in enumerate(vertices)}
-    dual_sum = {i: 0.0 for i in members}
-    incident: dict[int, list[tuple[int, int, int, float]]] = {
-        i: [] for i in members}
-    for edge in edges:
-        _, u, v, _ = edge
-        incident[cluster_of[u]].append(edge)
-        if cluster_of[v] != cluster_of[u]:
-            incident[cluster_of[v]].append(edge)
-    active = {i for i in members if prize_sum[i] > _EPS}
-    moat = {v: 0.0 for v in vertices}  # accumulated growth around v
-    forest_edges: list[tuple[int, int, int, float]] = []
+    groups = _terminal_groups(complex, assignment, label)
+    if len(groups) == 1:
+        return groups[0][1]
+    vertices, owner, other, edge = _component_entries(complex, label)
+    prize, sizes = [p for _, _, p in groups], [len(c) for _, c, _ in groups]
+    n, g, c_edge = len(vertices), len(groups), assignment.c_edge
+    cap = n if c_edge == 0 else min(n, int((sum(prize) - max(prize)) / c_edge) + 2)
+    hops = np.full((1 << g, n), cap, dtype=np.int32)
+    node, group_at = np.arange(n), {}
+    for i, (vs, _, _) in enumerate(groups):
+        at = np.searchsorted(vertices, vs)
+        rep = at.item(0)
+        node[at], group_at[rep] = rep, i
+        hops[1 << i, rep] = 0
+    src, dst = node[owner], node[other]
 
-    def grow(dt: float) -> None:
-        if dt <= 0:
-            return
-        for cid in active:
-            dual_sum[cid] += dt
-            for v in members[cid]:
-                moat[v] += dt
+    def relax(masks: list[int]) -> None:
+        step = max(1, 2**21 // len(dst))  # rows per block: (rows, entries) stays small
+        for lo in range(0, len(masks), step):
+            chunk = masks[lo:lo + step]
+            rows = hops[chunk]
+            flat_rows = rows.reshape(-1)
+            ends = (np.arange(0, rows.size, n)[:, None] + dst).reshape(-1)
+            top = flat_rows.max(initial=-1, where=flat_rows < cap)
+            for level in range(int(rows.min()), cap - 1):
+                reach = ends[(rows == level)[:, src].reshape(-1)]
+                if not len(reach) and level > top:
+                    break  # nothing reached this level, so none beyond
+                flat_rows[reach] = np.minimum(flat_rows[reach], level + 1)
+            hops[chunk] = rows
 
-    while active:
-        best_edge = None  # (dt, eid, edge)
-        for cid in active:
-            for edge in incident[cid]:
-                eid, u, v, cost = edge
-                cu, cv = cluster_of[u], cluster_of[v]
-                if cu == cv:
+    layers = [[] for _ in range(g + 1)]  # the subsets by size
+    for s in range(1, 1 << g):
+        layers[bin(s).count("1")].append(s)
+    relax(layers[1])
+    for size, layer in enumerate(layers[2:], 2):
+        for s in layer:
+            parts = np.array(list(_splits(s)))
+            hops[s] = np.minimum(hops[s], (hops[parts] + hops[s ^ parts]).min(axis=0))
+        if size < g:  # relaxing all g groups' row cannot lower its least value
+            relax(layer)
+
+    fewest = hops.min(axis=1).tolist()
+
+    def rank(mask: int) -> tuple[float, int]:
+        inside = [i for i in range(g) if mask >> i & 1]
+        return (c_edge * fewest[mask] - sum(prize[i] for i in inside),
+                sum(sizes[i] for i in inside) + 2 * fewest[mask] + 1 - len(inside))
+
+    ranks = {s: rank(s) for s in range(1, 1 << g) if fewest[s] < cap}
+    best = min(ranks.values())
+
+    def extract(mask: int) -> frozenset[int]:
+        stack, chosen = [(mask, int(np.argmin(hops[mask])))], set()
+        while stack:
+            mask, v = stack.pop()
+            d, i = hops.item(mask, v), group_at.get(v)
+            chosen.add(vertices.item(v))
+            if i is not None:
+                chosen |= groups[i][1]
+                if mask == 1 << i:
                     continue
-                rate = int(cu in active) + int(cv in active)
-                dt = max(0.0, cost - moat[u] - moat[v]) / rate
-                if best_edge is None or (dt, eid) < (best_edge[0], best_edge[1]):
-                    best_edge = (dt, eid, edge)
-        best_deact = None  # (dt, min_vertex, cid)
-        for cid in active:
-            dt = max(0.0, prize_sum[cid] - dual_sum[cid])
-            key = (dt, min(members[cid]))
-            if best_deact is None or key < (best_deact[0], best_deact[1]):
-                best_deact = (dt, key[1], cid)
+            split = next((a for a in _splits(mask)
+                          if hops.item(a, v) + hops.item(mask ^ a, v) == d), None)
+            if split is not None:
+                stack += [(split, v), (mask ^ split, v)]
+                continue
+            k = next(k for k in np.flatnonzero(src == v).tolist()
+                     if hops.item(mask, dst.item(k)) == d - 1)
+            chosen.add(edge.item(k))
+            stack.append((mask, dst.item(k)))
+        return frozenset(chosen)
 
-        if best_edge is not None and best_edge[0] <= best_deact[0] + _EPS:
-            dt, eid, edge = best_edge
-            _, u, v, cost = edge
-            grow(dt)
-            cu, cv = cluster_of[u], cluster_of[v]
-            if len(members[cu]) < len(members[cv]):
-                cu, cv = cv, cu
-            forest_edges.append(edge)
-            for w in members[cv]:
-                cluster_of[w] = cu
-            members[cu].extend(members[cv])
-            incident[cu].extend(incident[cv])
-            prize_sum[cu] += prize_sum[cv]
-            dual_sum[cu] += dual_sum[cv]
-            del members[cv], prize_sum[cv], dual_sum[cv], incident[cv]
-            active.discard(cv)
-            if prize_sum[cu] - dual_sum[cu] > _EPS:
-                active.add(cu)
-            else:
-                active.discard(cu)
-        else:
-            grow(best_deact[0])
-            active.discard(best_deact[2])
-
-    return _best_pruned_tree(vertices, forest_edges, node_prize)
-
-
-def _best_pruned_tree(vertices: list[int],
-                      forest_edges: list[tuple[int, int, int, float]],
-                      node_prize: dict[int, float]) -> tuple[set[int], set[int]]:
-    """Strong-prune the GW forest; return the best tree's cells.
-
-    For every vertex r, ``g(r)`` is the value of the tree strong-pruned
-    with r as root: its own prize plus, per neighbor branch, the
-    branch's pruned value minus the connecting edge cost when positive.
-    The rerooting pass computes all g values in two sweeps, then the
-    selection is extracted from the best root.
-    """
-    adj: dict[int, list[tuple[int, int, float]]] = {v: [] for v in vertices}
-    for eid, u, v, cost in forest_edges:
-        adj[u].append((eid, v, cost))
-        adj[v].append((eid, u, cost))
-
-    best = None  # ((-value, n_cells, vertex_tuple), (vset, eset))
-    parent, _, _, trees = grow_forest(vertices, lambda v: [
-        (eid, w) for eid, w, _ in adj[v]])
-    for tree in trees:  # each lists parents before children
-        # down[v]: pruned value of v's subtree under the initial rooting
-        down: dict[int, float] = {}
-        for v in reversed(tree):
-            value = node_prize.get(v, 0.0)
-            for _, w, ccost in adj[v]:
-                if parent.get(w) == v:
-                    value += max(0.0, down[w] - ccost)
-            down[v] = value
-
-        # uc[v]: contribution arriving from the parent side when v is
-        # treated as root; g(v) is then the full rerooted value
-        uc: dict[int, float] = {tree[0]: 0.0}
-        g: dict[int, float] = {}
-        for v in tree:
-            total = node_prize.get(v, 0.0) + uc[v]
-            for _, w, ccost in adj[v]:
-                if parent.get(w) == v:
-                    total += max(0.0, down[w] - ccost)
-            g[v] = total
-            for _, w, ccost in adj[v]:
-                if parent.get(w) == v:
-                    uc[w] = max(0.0, total - max(0.0, down[w] - ccost) - ccost)
-
-        root = min(g, key=lambda v: (-g[v], v))
-        vset, eset = {root}, set()
-        frontier = [(root, -1)]
-        while frontier:
-            v, came_from = frontier.pop()
-            for eid, w, ccost in adj[v]:
-                if w == came_from:
-                    continue
-                side = down[w] if parent.get(w) == v else g[w] - max(
-                    0.0, down[v] - ccost)
-                if side - ccost > _EPS:
-                    vset.add(w)
-                    eset.add(eid)
-                    frontier.append((w, v))
-        key = (-g[root], len(vset) + len(eset), tuple(sorted(vset)))
-        if best is None or key < best[0]:
-            best = (key, (vset, eset))
-    assert best is not None
-    return best[1]
+    return min((extract(s) for s, r in ranks.items() if r == best), key=sorted)
 
 
 def _connector_path(complex: CellComplex, selected: frozenset[int],
@@ -435,49 +442,22 @@ def _connector_path(complex: CellComplex, selected: frozenset[int],
     return None
 
 
+_EPS = 1e-12
+
+
 def _solve_component(complex: CellComplex, assignment: PrizeAssignment,
                      label: int, selected2: list[int]) -> frozenset[int]:
-    """Phase a+b of the solver for the graph component ``label``."""
-    inside, ranked1, n0 = complex.component == label, assignment.ranked1_ids, complex.n0
-    vertices, src, dst = np.flatnonzero(inside).tolist(), complex.edge_src, complex.edge_dst
-    vset, node_prize = set(vertices), dict(zip(vertices, assignment.prize[vertices].tolist()))
-    ids = np.flatnonzero(inside[src] & (src != dst))  # its non-loop 1-cells
-    edges = []
-    for cid, u, v in zip((ids + n0).tolist(), src[ids].tolist(), dst[ids].tolist()):
-        ranked = cid in ranked1
-        if ranked:  # ranked edge prizes are folded into endpoint half-prizes
-            half = assignment.prize_of(cid) / 2.0
-            node_prize[u] += half
-            node_prize[v] += half
-        edges.append((cid, u, v, 0.0 if ranked else assignment.c_edge))
-
-    gw_vertices, gw_edges = _gw_pcst(vertices, edges, node_prize)
-    base = set(gw_vertices) | set(gw_edges)
-    # ranked 1-cells with both endpoints already selected are free prize
-    for cid in sorted(ranked1):
-        if all(v in base for v in complex.boundary(cid)):
-            base.add(cid)
-    candidates = [enforce_boundary_consistency(complex, base)]
-    # trivial feasible answers: best single ranked 0-cell, each ranked
-    # 1-cell's closure
-    candidates += [frozenset([r.cell_id]) for r in assignment.ranked0
-                   if r.cell_id in vset and r.prize > 0]
-    candidates += [enforce_boundary_consistency(complex, {r.cell_id})
-                   for r in assignment.ranked1
-                   if complex.boundary(r.cell_id)[0] in vset and r.prize > 0]
+    """The best tree of the graph component ``label``, then its 2-cells."""
+    current = _best_tree(complex, assignment, label)
 
     def objective_of(sel: frozenset[int]) -> float:
         prize, cost = selection_objective(complex, assignment, sel)
         return prize - cost
 
-    current = min(candidates,
-                  key=lambda sel: (-objective_of(sel), len(sel),
-                                   tuple(sorted(sel))))
-
     def with_two_cell(selection: frozenset[int], cid: int) -> frozenset[int] | None:
         """Closure of selection plus the 2-cell, connected if needed."""
         cycle = set(complex.cycle_vertices(cid))
-        if not cycle <= vset:
+        if complex.component.item(next(iter(cycle))) != label:
             return None
         addition = {cid}
         if not cycle & {c for c in selection if c < complex.n0}:

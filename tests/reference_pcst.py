@@ -4,9 +4,13 @@
 complex. It shares no search code with the solver it checks: only the
 objective, the feasibility test and the result packaging of
 :mod:`toporag.retrieval`. ``forest_optimum`` is a rooted DP giving the
-optimal objective when the 1-skeleton is a forest, at any size; it reads
-only the graph and the assignment's ranked cells and constants.
+optimal objective when the 1-skeleton is a forest, at any size, and
+``steiner_optimum`` a Dreyfus-Wagner DP giving it on any graph with few
+ranked cells; both read only the graph and the assignment's ranked cells
+and constants.
 """
+
+import numpy as np
 
 from toporag.errors import EmptyCandidates, TooLarge
 from toporag.retrieval import (_make_subcomplex, enforce_boundary_consistency,
@@ -89,3 +93,58 @@ def forest_optimum(complex, assignment):
                 f[parent] += max(0.0, f[v] + gain)
         total += max(0.0, max(f.values()))
     return total
+
+
+def steiner_optimum(complex, assignment):
+    """Optimal objective over connected 1-skeleton selections, one per
+    graph component where one pays, as ``solve_subcomplex`` unions them.
+
+    Terminals are the ranked 0-cells and both ends of each ranked
+    1-cell. A connected selection whose terminals are T earns the prizes
+    of the ranked 0-cells in T and of the ranked 1-cells with both ends
+    in T, and pays ``c_edge`` per unranked 1-cell; so the best selection
+    over T is the tree spanning T with the fewest hops, where a ranked
+    1-cell counts 0 and any other 1-cell 1. ``hops[T][v]``, the fewest
+    hops of a tree joining T and v, follows the Dreyfus-Wagner
+    recurrence over every subset T (numbered so that a subset's subsets
+    come first): the best split of T at some vertex u, plus the
+    Floyd-Warshall distance from u to v. The result is the summed prize
+    minus ``c_edge`` times the summed hops of each component's best T.
+    """
+    graph, n0 = complex.graph, complex.n0
+    prize0 = {r.cell_id: r.prize for r in assignment.ranked0}
+    ranked1 = {r.cell_id: r.prize for r in assignment.ranked1}
+    dist = np.full((n0, n0), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for cid, e in enumerate(graph.edges, n0):
+        hop = 0.0 if cid in ranked1 else 1.0
+        dist[e.src, e.dst] = dist[e.dst, e.src] = min(dist[e.src, e.dst], hop)
+    for k in range(n0):
+        np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :], out=dist)
+    ends = {cid: graph.edges[cid - n0] for cid in ranked1}
+    terminals = sorted(set(prize0) | {v for e in ends.values() for v in (e.src, e.dst)})
+    hops = np.full((1 << len(terminals), n0), np.inf)
+    for i, v in enumerate(terminals):
+        hops[1 << i] = dist[v]
+    best = {}  # component (its smallest vertex) -> (value, prize, hops)
+    for subset in range(1, 1 << len(terminals)):
+        if subset & (subset - 1):
+            parts, part = [], (subset - 1) & subset
+            while part:
+                parts.append(part)
+                part = (part - 1) & subset
+            split = (hops[parts] + hops[[subset ^ p for p in parts]]).min(axis=0)
+            hops[subset] = (split[:, None] + dist).min(axis=0)
+        cost = hops[subset].min()
+        if cost == np.inf:
+            continue
+        chosen = {v for i, v in enumerate(terminals) if subset >> i & 1}
+        prize = sum(prize0.get(v, 0.0) for v in chosen) + sum(
+            p for cid, p in ranked1.items()
+            if ends[cid].src in chosen and ends[cid].dst in chosen)
+        value = prize - assignment.c_edge * int(cost)
+        label = int(np.flatnonzero(dist[min(chosen)] < np.inf)[0])
+        if value > best.get(label, (0.0,))[0]:
+            best[label] = (value, prize, int(cost))
+    return sum(b[1] for b in best.values()) - \
+        assignment.c_edge * sum(b[2] for b in best.values())

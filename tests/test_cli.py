@@ -116,6 +116,18 @@ def test_retrieve_k2_zero_has_no_two_cells(capsys, small_cfg, triangle_path):
     assert payload["cells"]["2"] == []
 
 
+def test_retrieve_refuses_k0_plus_k1_above_the_cap(tmp_path, capsys,
+                                                  triangle_path):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("embed_dim = 16\nstate_dim = 16\nk0 = 7\nk1 = 6\n",
+                   encoding="utf-8")
+    assert main(["retrieve", triangle_path, "--question", "node 0",
+                 "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k0 + k1 must be at most 12" in captured.err
+
+
 def test_retrieve_deterministic(capsys, small_cfg, triangle_path):
     args = ["retrieve", triangle_path, "--question", "node 1 edge",
             "--config", small_cfg]

@@ -51,6 +51,20 @@ def test_k2_range_enforced():
         PipelineConfig(k2=4)
 
 
+@pytest.mark.parametrize("k0, k1", [(13, 0), (0, 13), (7, 6), (12, 12)])
+def test_k0_plus_k1_above_the_search_cap_rejected(k0, k1):
+    """Retrieval's exact search grows as 3^(k0 + k1), so the sum is capped
+    at 12; the message names both keys."""
+    with pytest.raises(ValidationError, match=r"k0 \+ k1 must be at most 12"):
+        PipelineConfig(k0=k0, k1=k1)
+
+
+def test_k0_plus_k1_at_the_search_cap_accepted(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("k0 = 5\nk1 = 7\n", encoding="utf-8")
+    assert (load_config(path).k0, load_config(path).k1) == (5, 7)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("k0", -1, "k0 and k1"), ("k1", -1, "k0 and k1"),
     ("c2", -0.5, "c2 and c_edge"), ("c_edge", -1.0, "c2 and c_edge"),

@@ -707,6 +707,18 @@ def mutated(cx, kind):
     return dataclasses.replace(looped, ancestors=table)
 
 
+@pytest.mark.parametrize("accessor", ["boundary", "cycle_vertices", "vector"])
+def test_cycle_under_a_lca_off_the_root_path_raises(accessor):
+    """A 2-cell whose ``two_lca`` is not on both ends' root paths is named
+    by each accessor that walks its cycle, instead of a climb past the
+    root that never stops."""
+    cx = bare_lift(make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), DFS)
+    assert (cx.two_edge.tolist(), cx.two_lca.tolist()) == ([7], [0])
+    broken = dataclasses.replace(cx, two_lca=np.array([2], np.int32))
+    with pytest.raises(ValueError, match=r"2-cell 8: its LCA 2 is not"):
+        getattr(broken, accessor)(8)
+
+
 # a path 0-1-2-3-4 with chords (0,4), (1,3), (2,4), (0,2), beside the
 # triangle 5-6-7: 1-cells 8..11 the path, 12..15 the chords, 16 and 17 the
 # triangle's tree 1-cells, 18 its chord; 2-cells close 12, 13, 14, 15, 18

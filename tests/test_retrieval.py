@@ -20,7 +20,8 @@ from toporag.retrieval import (PRIZE_INDEXING, assign_prizes,
 from helpers import (lift, make_graph, messy_graph, random_connected_graph,
                      triangle, two_triangles)
 from reference_lifting import components
-from reference_pcst import brute_force_subcomplex, forest_optimum
+from reference_pcst import (brute_force_subcomplex, forest_optimum,
+                            steiner_optimum)
 from reference_prizes import (cycle_cells, dict_prizes,
                               loop_topk_two_cells, two_cell_prizes)
 
@@ -495,6 +496,138 @@ def test_solver_is_exact_on_forests():
                     assert sub.objective == forest_optimum(cx, a)
 
 
+def seeded_vectors(rng, graph, dim=8):
+    """Seeded float32 normals: one per node, one per edge, one query."""
+    draw = rng.standard_normal((graph.num_nodes + graph.num_edges + 1, dim))
+    rows = list(draw.astype(np.float32))
+    return rows[:graph.num_nodes], rows[graph.num_nodes:-1], rows[-1]
+
+
+def test_steiner_oracle_matches_brute_force():
+    """The Dreyfus-Wagner oracle equals exhaustive enumeration on seeded
+    connected complexes of at most 14 cells where no 2-cell pays (c2 = 100):
+    parallel edges, ranked self-loops, k = 1..4, non-dyadic c_edge, both
+    indexings."""
+    rng, vec_rng = random.Random(41), np.random.default_rng(41)
+    checked = 0
+    while checked < 120:
+        n = rng.randrange(2, 6)
+        g = random_connected_graph(rng, n, rng.randrange(n - 1, n + 3))
+        if rng.random() < 0.3:
+            loop = rng.randrange(n)
+            g = make_graph(n, [(e.src, e.dst) for e in g.edges] + [(loop, loop)])
+        z0, z1, z_q = seeded_vectors(vec_rng, g)
+        cx = lift_graph(g, z0, z1)
+        if cx.num_cells > 14:
+            continue
+        k = rng.randint(1, 4)
+        a = assign_prizes(topk_cells(cx, z_q, 0, k), topk_cells(cx, z_q, 1, k),
+                          cx, k, 100.0, c_edge=rng.choice((1.0, 0.5, 0.3)),
+                          indexing=rng.choice(PRIZE_INDEXING))
+        assert steiner_optimum(cx, a) == brute_force_subcomplex(cx, a).objective
+        checked += 1
+
+
+def test_solver_equals_steiner_optimum():
+    """With no 2-cell offered, the solver's objective equals the oracle's
+    exactly on seeded 60/180 graphs: BFS and DFS lifts, c_edge 1, 0.5 and
+    0.3, both indexings (under eq14 the last rank has prize 0)."""
+    vec_rng = np.random.default_rng(43)
+    for seed in range(3):
+        g = random_connected_graph(random.Random(seed), 60, 180)
+        z0, z1, _ = seeded_vectors(vec_rng, g)
+        lifts = [lift_graph(g, z0, z1, policy=policy) for policy in (BFS, DFS)]
+        for _ in range(4):
+            z_q = vec_rng.standard_normal(8).astype(np.float32)
+            ranked0, ranked1 = (topk_cells(lifts[0], z_q, d, 3) for d in (0, 1))
+            for c_edge in (1.0, 0.5, 0.3):
+                for indexing in PRIZE_INDEXING:
+                    a = [assign_prizes(ranked0, ranked1, cx, 3, 0.5,
+                                       c_edge=c_edge, indexing=indexing)
+                         for cx in lifts]
+                    best = steiner_optimum(lifts[0], a[0])
+                    for cx, assignment in zip(lifts, a):
+                        sub = solve_subcomplex(cx, assignment, [], ranked0[0])
+                        assert sub.objective == best
+
+
+def test_solver_is_exact_on_large_trees():
+    """``forest_optimum`` on trees of 2,000 to 3,000 vertices, from bushy
+    to path-like (each vertex hangs below one of the 3 before it, so the
+    tree is about n / 2 deep), with c_edge low enough that long joins pay
+    (dyadic, so the reference's sums of gains round nowhere)."""
+    rng, vec_rng = random.Random(47), np.random.default_rng(47)
+    for n, span in ((2000, 3), (2500, 40), (3000, None)):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = make_graph(n, [(perm[rng.randrange(max(0, v - (span or v)), v)], perm[v])
+                           for v in range(1, n)])
+        z0, z1, z_q = seeded_vectors(vec_rng, g)
+        cx = lift_graph(g, z0, z1)
+        ranked0, ranked1 = (topk_cells(cx, z_q, d, 3) for d in (0, 1))
+        for c_edge in (0.0625, 0.25, 1.0):
+            a = assign_prizes(ranked0, ranked1, cx, 3, 0.5, c_edge=c_edge)
+            sub = solve_subcomplex(cx, a, [], ranked0[0])
+            assert sub.objective == forest_optimum(cx, a)
+
+
+def relabelled(graph, z0, z1, rng):
+    """``graph`` with its vertices renumbered and its edges reordered (ends
+    swapped at random), every cell keeping its vector."""
+    perm = list(range(graph.num_nodes))
+    rng.shuffle(perm)
+    order = list(range(graph.num_edges))
+    rng.shuffle(order)
+    ends = [(perm[graph.edges[i].src], perm[graph.edges[i].dst]) for i in order]
+    ends = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in ends]
+    nodes = [None] * graph.num_nodes
+    for v, p in enumerate(perm):
+        nodes[p] = z0[v]
+    return make_graph(graph.num_nodes, ends), nodes, [z1[i] for i in order]
+
+
+def query_graph(data):
+    """A drawn graph (messy or 4-40 vertices connected), its vectors, and a
+    query, each cell ranked by a seeded normal."""
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    if data.draw(st.booleans()):
+        g = messy_graph(rng)
+    else:
+        n = rng.randrange(4, 41)
+        g = random_connected_graph(rng, n, rng.randrange(n - 1, 3 * n))
+    return (rng, g, *seeded_vectors(np.random.default_rng(rng.randrange(10**6)), g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_objective_invariant_under_relabelling(data):
+    """Renumbering the vertices and permuting the edges, each cell keeping
+    its vector, leaves the objective and the cell counts unchanged (k2 = 0;
+    the counts, being the fewest of any optimum, do not depend on ids)."""
+    rng, g, z0, z1, z_q = query_graph(data)
+    h, y0, y1 = relabelled(g, z0, z1, rng)
+    policy = data.draw(st.sampled_from([DFS, BFS]))
+    k0, k1 = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))
+    c_edge = data.draw(st.sampled_from([1.0, 0.5, 0.3]))
+    subs = [retrieve_subcomplex(lift_graph(graph, a, b, policy=policy), z_q,
+                                k0, k1, 0, 0.5, c_edge=c_edge)
+            for graph, a, b in ((g, z0, z1), (h, y0, y1))]
+    assert subs[0].objective == subs[1].objective
+    assert [(len(s.cells0), len(s.cells1)) for s in subs] == \
+        [(len(subs[0].cells0), len(subs[0].cells1))] * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lowering_c_edge_never_lowers_the_objective(data):
+    _, g, z0, z1, z_q = query_graph(data)
+    cx = lift_graph(g, z0, z1)
+    k0, k1 = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))
+    objectives = [retrieve_subcomplex(cx, z_q, k0, k1, 0, 0.5, c_edge=c).objective
+                  for c in (0.0, 0.25, 0.3, 0.5, 1.0, 2.0)]
+    assert objectives == sorted(objectives, reverse=True)
+
+
 def test_solver_feasible_and_bounded_by_oracle():
     rng = random.Random(4)
     ratios = []
@@ -526,7 +659,7 @@ def test_solver_feasible_and_bounded_by_oracle():
 
 def test_solver_bridges_steiner_points():
     # prizes sit at the path ends; the middle vertices are worthless
-    # connectors that the moat growth must pay for
+    # connectors that the tree must pay for
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     cx = lift(g)
     a = make_assignment(cx, [(0, .99), (4, .95)], [], k=3, c_edge=0.25)
